@@ -55,7 +55,7 @@ def test_fig7c_throughput(benchmark, preset):
     # baselines (TPNILM, UNet-NILM) are the fastest at inference ("the only
     # two more efficient" than CamAL in Fig. 7c).  The CamAL-vs-CRNN-weak
     # ordering only emerges at paper scale, where the CRNN's 350-unit GRU
-    # over 510-step windows dominates — see EXPERIMENTS.md.
+    # over 510-step windows dominates.
     camal = dict(result.series["CamAL"])
     assert dict(result.series["TPNILM"])[128] > camal[128]
     assert dict(result.series["UNet-NILM"])[128] > camal[128]

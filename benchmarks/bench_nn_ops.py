@@ -1,20 +1,19 @@
-"""NN-op microbenchmarks: conv backends, inference mode, buffer pool.
+"""NN-op microbenchmarks: conv kernels, inference mode, buffer pool.
 
-Emits one JSON row per ``(backend, conv shape)`` over the paper's Table-II
+Emits one JSON row per conv shape over the paper's Table-II
 ResNet-ensemble inventory (``repro.api.conv_shapes("camal", "paper")``) —
-forward and forward+backward throughput — plus an end-to-end serving-engine
-row (windows/s and the buffer pool's steady-state allocation counters) and
-a training-determinism block (loss trajectories per backend).
+forward and forward+backward throughput of the ``reference`` and
+``im2col`` kernels — plus an end-to-end serving-engine row (windows/s and
+the buffer pool's steady-state allocation counters) and a
+training-determinism block (loss trajectories per kernel).
 
 The speedup structure is shape-dependent by design:
 
 * the ``C_in = 1`` *entry* convolutions (one per member kernel ``k_p``)
   are where the reference gather-copy loses worst — im2col wins several
   fold there;
-* the wide mid-stack shapes are GEMM-bound, so every kernel converges to
-  BLAS throughput and the margin is thinner;
-* the long-kernel (``k_p = 25``) wide blocks flip to the FFT kernel,
-  which the autotuner picks up.
+* the wide mid-stack shapes are GEMM-bound, so both kernels converge to
+  BLAS throughput and the margin is thinner.
 
 ``--smoke`` asserts the load-bearing claims cheaply for CI:
 
@@ -27,7 +26,9 @@ The speedup structure is shape-dependent by design:
 * steady-state fused inference performs **zero** fresh pool allocations
   per micro-batch after warm-up;
 * training loss trajectories are bit-identical run-to-run under
-  ``reference`` and tolerance-bounded under ``auto``.
+  ``reference``;
+* the sanitizer instrumentation costs < 5% when off, and the tree lints
+  clean.
 
 Run standalone for the JSON report::
 
@@ -51,8 +52,8 @@ N_WINDOWS = 16  # batch size per conv timing
 WINDOW_LENGTH = 128  # Table-II window length for the shape rows
 REPEATS = 3
 
-#: Backends timed per shape (``auto`` resolves to one of these per shape).
-KERNEL_BACKENDS = ("reference", "im2col", "fft")
+#: Kernels timed per shape.
+KERNEL_BACKENDS = ("reference", "im2col")
 
 
 def _time(fn, repeats=REPEATS) -> float:
@@ -70,7 +71,7 @@ def paper_conv_shapes():
 
 
 def bench_conv_shapes(shapes=None, n=N_WINDOWS, length=WINDOW_LENGTH):
-    """Per-backend forward / forward+backward timings for each conv shape."""
+    """Per-kernel forward / forward+backward timings for each conv shape."""
     rng = np.random.default_rng(0)
     rows = []
     for c_in, c_out, kernel in shapes or paper_conv_shapes():
@@ -101,16 +102,7 @@ def bench_conv_shapes(shapes=None, n=N_WINDOWS, length=WINDOW_LENGTH):
                 fwd_bwd()  # warm-up
                 row[f"{name}_fwd_s"] = fwd
                 row[f"{name}_fwd_bwd_s"] = _time(fwd_bwd)
-        with backend.use_backend("auto"):
-            x = Tensor(x_data)
-            w = Tensor(w_data)
-            F.conv1d(x, w, padding=pad)  # tunes on first call
-            row["auto_fwd_s"] = _time(lambda: F.conv1d(x, w, padding=pad))
-            row["auto_choice"] = backend.autotune_choices().get(
-                (n, c_in, c_out, kernel, length + 2 * pad, 1), "?"
-            )
         row["im2col_speedup"] = row["reference_fwd_s"] / row["im2col_fwd_s"]
-        row["auto_speedup"] = row["reference_fwd_s"] / row["auto_fwd_s"]
         rows.append(row)
     return rows
 
@@ -125,7 +117,6 @@ def summarize_conv(rows):
     return {
         "entry_geomean_speedup_im2col": _geomean(r["im2col_speedup"] for r in entry),
         "geomean_speedup_im2col": _geomean(r["im2col_speedup"] for r in rows),
-        "geomean_speedup_auto": _geomean(r["auto_speedup"] for r in rows),
     }
 
 
@@ -133,14 +124,12 @@ def bench_fused_ensemble(n=8, length=128, filters=(4, 8, 8), repeats=7):
     """Traced grouped-GEMM plan vs the per-member module loop.
 
     Builds the paper's five-member kernel set ``{5,7,9,15,25}`` at the
-    given filter widths and times ``forward_fused`` three ways over the
-    same batch: with ``REPRO_NN_PLAN=off REPRO_NN_FUSE=off`` (the staged
-    conv -> shift -> ReLU per-member loop), with ``REPRO_NN_PLAN=off``
-    (the per-member loop with the fused conv epilogue), and through the
-    traced plan whose conv layers run as one batched GEMM per shape
-    group.  The loop/plan timings are interleaved and each reported as a
-    min-of-``repeats`` so a scheduler stall on a shared box cannot skew
-    the ratio in either direction.
+    given filter widths and times ``forward_fused`` two ways over the same
+    batch: with ``REPRO_NN_PLAN=off`` (the per-member loop with the fused
+    conv epilogue) and through the traced plan whose conv layers run as
+    one batched GEMM per shape group.  The loop/plan timings are
+    interleaved and each reported as a min-of-``repeats`` so a scheduler
+    stall on a shared box cannot skew the ratio in either direction.
 
     The headline ``fused_speedup`` (plan vs fused per-member loop) is
     asserted ``>= 1.5x`` in ``--smoke`` at the *compact* filter preset
@@ -161,49 +150,39 @@ def bench_fused_ensemble(n=8, length=128, filters=(4, 8, 8), repeats=7):
     ensemble = ResNetEnsemble(models)
     x = (np.random.default_rng(3).random((n, length)) * 2.0).astype(np.float32)
 
-    saved = {k: os.environ.get(k) for k in ("REPRO_NN_PLAN", "REPRO_NN_FUSE")}
+    saved = os.environ.get("REPRO_NN_PLAN")
 
-    def run(plan: bool, fuse: bool = True):
+    def run(plan: bool):
         os.environ.pop("REPRO_NN_PLAN", None) if plan else os.environ.update(
             REPRO_NN_PLAN="off"
-        )
-        os.environ.pop("REPRO_NN_FUSE", None) if fuse else os.environ.update(
-            REPRO_NN_FUSE="off"
         )
         return ensemble.forward_fused(x, batch_size=n)
 
     try:
-        run(plan=False)  # warm pool + autotuner
+        run(plan=False)  # warm the pool
         run(plan=True)  # traces + validates the plan
         backend.reset_op_counts()
         run(plan=True)  # one pure replay for the count
         gemms_per_batch = backend.op_counts()["fused_conv_gemms"]
-        mins = {"staged": float("inf"), "loop": float("inf"), "plan": float("inf")}
+        mins = {"loop": float("inf"), "plan": float("inf")}
         for _ in range(repeats):
-            for key, plan, fuse in (
-                ("staged", False, False),
-                ("loop", False, True),
-                ("plan", True, True),
-            ):
+            for key, plan in (("loop", False), ("plan", True)):
                 start = time.perf_counter()
-                run(plan, fuse)
+                run(plan)
                 mins[key] = min(mins[key], time.perf_counter() - start)
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_NN_PLAN", None)
+        else:
+            os.environ["REPRO_NN_PLAN"] = saved
     return {
         "n_members": len(models),
         "n": n,
         "length": length,
         "filters": list(filters),
-        "staged_loop_s": mins["staged"],
         "member_loop_s": mins["loop"],
         "fused_plan_s": mins["plan"],
         "fused_speedup": mins["loop"] / mins["plan"],
-        "speedup_vs_staged": mins["staged"] / mins["plan"],
         "grouped_gemms_per_batch": gemms_per_batch,
         "plan": ensemble.plan_cache.stats,
     }
@@ -218,7 +197,6 @@ def summarize_fused_ensemble(rows):
     return {
         "rows": rows,
         "geomean_fused_speedup": _geomean(r["fused_speedup"] for r in rows),
-        "geomean_speedup_vs_staged": _geomean(r["speedup_vs_staged"] for r in rows),
         "grouped_gemms_per_batch": rows[0]["grouped_gemms_per_batch"],
         "plan": rows[-1]["plan"],
     }
@@ -258,7 +236,7 @@ def bench_engine(series_length=6000):
 
 
 def bench_training_determinism(epochs=3):
-    """Loss trajectories per backend: bit-identity and auto's tolerance."""
+    """Loss trajectories per kernel: reference bit-identity, im2col deviation."""
     from repro.core import ResNetConfig, ResNetTSC
     from repro.training import TrainConfig, train_classifier
 
@@ -277,18 +255,13 @@ def bench_training_determinism(epochs=3):
     ref_a = trajectory("reference")
     ref_b = trajectory("reference")
     im2col = trajectory("im2col")
-    auto = trajectory("auto")
     return {
         "epochs": epochs,
         "reference_losses": ref_a,
         "im2col_losses": im2col,
-        "auto_losses": auto,
         "reference_bit_identical": ref_a == ref_b,
         "im2col_max_rel_dev": float(
             np.max(np.abs(np.array(im2col) - ref_a) / np.abs(ref_a))
-        ),
-        "auto_max_rel_dev": float(
-            np.max(np.abs(np.array(auto) - ref_a) / np.abs(ref_a))
         ),
     }
 
@@ -300,20 +273,26 @@ class _RawPool:
     ``_tracker is None`` must time the same as the pool as it was before
     the tracker existed.  There is no pre-instrumentation class left to
     import, so this replica *is* the baseline — same dict layout, same
-    branch structure minus the tracker checks.
+    allocation counters, same branch structure minus the tracker checks.
     """
 
     def __init__(self):
         self._free = {}
         self._taken = []
+        self.fresh_allocations = 0
+        self.reuses = 0
+        self.bytes_allocated = 0
 
     def take(self, shape, dtype=np.float32):
         key = (tuple(int(s) for s in shape), np.dtype(dtype).str)
         free = self._free.get(key)
         if free:
             arr = free.pop()
+            self.reuses += 1
         else:
             arr = np.empty(key[0], dtype=dtype)
+            self.fresh_allocations += 1
+            self.bytes_allocated += arr.nbytes
         self._taken.append((key, arr))
         return arr
 
@@ -323,13 +302,17 @@ class _RawPool:
         self._taken.clear()
 
 
-def bench_sanitizer(iters=200, repeats=31):
+def bench_sanitizer(iters=600, repeats=31):
     """Pool take/step throughput: raw replica vs instrumented (off and on).
 
     ``disabled_overhead`` is the contract number: the instrumented pool
     with the sanitizer off vs the pre-instrumentation replica, on the
-    steady-state (all-reuse) loop.  The enabled row is informational —
-    poison-filling every released buffer is the point, not a regression.
+    steady-state (all-reuse) loop.  The two are timed as pairs — one run
+    of each per repeat, back to back in alternating order — and the
+    overhead is the median of the per-pair ratios, so a slow spell on a
+    shared host lands on both sides of a ratio instead of skewing one
+    side's best time.  The enabled row is informational — poison-filling
+    every released buffer is the point, not a regression.
     """
     from repro.analysis import sanitize
     from repro.nn.backend.pool import BufferPool
@@ -342,25 +325,27 @@ def bench_sanitizer(iters=200, repeats=31):
                 for shape in shapes:
                     pool.take(shape)
                 pool.step()
+        run()  # populate the free lists: timed runs are all-reuse
         return run
 
-    def warm_and_time(pool):
-        loop(pool)()  # populate the free lists: timed loop is all-reuse
-        return _time(loop(pool), repeats=repeats)
-
-    raw_s = warm_and_time(_RawPool())
-    with sanitize.force(False):
-        disabled_s = warm_and_time(BufferPool())
+    with sanitize.force(False):  # pools read the flag at construction
+        runs = {"raw": loop(_RawPool()), "disabled": loop(BufferPool())}
+    times = {key: [] for key in runs}
+    for rep in range(repeats):
+        for key in sorted(runs, reverse=rep % 2 == 1):
+            times[key].append(_time(runs[key], repeats=1))
+    ratios = np.array(times["disabled"]) / np.array(times["raw"])
+    raw_s = min(times["raw"])
     sanitize.reset_stats()
     with sanitize.force(True):
-        enabled_s = warm_and_time(BufferPool())
+        enabled_s = _time(loop(BufferPool()), repeats=repeats)
     enabled_stats = sanitize.stats()
     return {
         "iters": iters,
         "raw_pool_s": raw_s,
-        "disabled_s": disabled_s,
+        "disabled_s": min(times["disabled"]),
         "enabled_s": enabled_s,
-        "disabled_overhead": disabled_s / raw_s - 1.0,
+        "disabled_overhead": float(np.median(ratios)) - 1.0,
         "enabled_overhead": enabled_s / raw_s - 1.0,
         "enabled_poison_fills": enabled_stats["poison_fills"],
         "enabled_generation_bumps": enabled_stats["generation_bumps"],
@@ -429,10 +414,6 @@ def check_smoke(report):
     training = report["training"]
     assert training["reference_bit_identical"], (
         "reference-backend training must be bit-deterministic"
-    )
-    assert training["auto_max_rel_dev"] < 1e-2, (
-        "auto-backend training must stay tolerance-bounded vs reference: "
-        f"rel dev {training['auto_max_rel_dev']:.2e}"
     )
     analysis = report["analysis"]
     assert analysis["sanitizer"]["disabled_overhead"] < 0.05, (

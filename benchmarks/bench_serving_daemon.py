@@ -121,9 +121,7 @@ def _build_camal() -> CamAL:
 
 
 def _build_engine() -> InferenceEngine:
-    engine = InferenceEngine(
-        EngineConfig(window=WINDOW, stride=STRIDE, backend="im2col")
-    )
+    engine = InferenceEngine(EngineConfig(window=WINDOW, stride=STRIDE))
     engine.register("kettle", _build_camal())
     engine.warmup()
     return engine

@@ -3,7 +3,7 @@
 Every benchmark regenerates one table or figure of the paper at the
 ``bench`` preset (same code paths as the paper-scale runs, scaled down so
 the whole suite finishes in minutes).  The printed rows/series mirror what
-the paper reports; EXPERIMENTS.md records the paper-vs-measured comparison.
+the paper reports.
 """
 
 import pytest

@@ -13,10 +13,12 @@ Two lint rules (:mod:`repro.analysis.lint`) close that loop:
   ``benchmarks/`` must name an entry registered here;
 * ``ENV002`` — every entry registered here must be referenced in at least
   one page under ``docs/`` (the user-facing table lives in
-  ``docs/config.md``).
+  ``docs/config.md``), and every ``REPRO_*`` name a docs page mentions
+  must be registered here.
 
 Registering a variable therefore *is* the act of declaring it public, and
-forgetting either half (registry or docs) blocks CI.
+forgetting either half (registry or docs) — or leaving a deleted variable
+documented — blocks CI.
 """
 
 from __future__ import annotations
@@ -41,30 +43,12 @@ class EnvVar:
 _ENTRIES = (
     EnvVar(
         name="REPRO_NN_BACKEND",
-        values="reference|im2col|fft|auto",
+        values="reference|im2col (default: im2col)",
         description=(
             "Process-wide default conv1d kernel; `reference` reproduces the "
-            "pre-backend float32 bits, `auto` enables first-call timing."
+            "pre-backend float32 bits and runs ensembles untraced."
         ),
         owner="repro.nn.backend",
-    ),
-    EnvVar(
-        name="REPRO_NN_AUTOTUNE",
-        values="off|0|false|no (default: on)",
-        description=(
-            "Escape hatch disabling the autotuner's first-call timing pass; "
-            "`auto` mode then serves the default kernel untimed."
-        ),
-        owner="repro.nn.backend.autotune",
-    ),
-    EnvVar(
-        name="REPRO_NN_AUTOTUNE_CACHE",
-        values="path to a JSON file",
-        description=(
-            "Persisted autotune table: loaded at first use, rewritten "
-            "whenever a new conv signature is tuned."
-        ),
-        owner="repro.nn.backend.autotune",
     ),
     EnvVar(
         name="REPRO_NN_PLAN",
@@ -74,15 +58,6 @@ _ENTRIES = (
             "forward takes the untraced per-member loop."
         ),
         owner="repro.nn.plan",
-    ),
-    EnvVar(
-        name="REPRO_NN_FUSE",
-        values="off|0|false (default: on)",
-        description=(
-            "Escape hatch staging conv, folded-BN shift and ReLU as "
-            "separate eval passes instead of one fused backend call."
-        ),
-        owner="repro.core.resnet",
     ),
     EnvVar(
         name="REPRO_NN_SANITIZE",

@@ -22,7 +22,8 @@ DET002    error     wall-clock call (``time.time``, ``datetime.now``, ...)
 DET003    error     public ``fit``/``train_*`` entry without an explicit
                     seed/rng/config parameter
 ENV001    error     ``REPRO_*`` literal not in the env-var registry
-ENV002    error     registry entry not referenced anywhere under ``docs/``
+ENV002    error     registry entry not referenced anywhere under ``docs/``,
+                    or a ``REPRO_*`` name in ``docs/`` that is not registered
 BCK001    error     conv backend module missing part of the kernel
                     contract (``forward``/``forward_fused``/
                     ``grad_weight``/``grad_input``)
@@ -43,7 +44,7 @@ line directly above, and every waiver must say *why*::
 
 "Hot path" means: decorated ``@repro.analysis.hot_path`` (recognized
 syntactically), or any function in the replay modules
-(``nn/backend/{__init__,im2col,fft,reference}.py``, ``nn/plan.py``,
+(``nn/backend/{__init__,im2col,reference}.py``, ``nn/plan.py``,
 ``core/grouped.py``).  ``nn/backend/pool.py`` is deliberately *not* hot:
 it is the allocator the ban steers hot code toward, and pool acquisition
 (``take``/``take_persistent``/``scratch``/``buffer``) is always allowed.
@@ -73,7 +74,6 @@ __all__ = [
 HOT_MODULE_SUFFIXES: Tuple[str, ...] = (
     "nn/backend/__init__.py",
     "nn/backend/im2col.py",
-    "nn/backend/fft.py",
     "nn/backend/reference.py",
     "nn/plan.py",
     "core/grouped.py",
@@ -132,6 +132,8 @@ _POOL_ACQUIRE = frozenset({"take", "take_persistent", "scratch", "buffer"})
 _BLESSED_SEED_HELPER = "seed_everything"
 
 _ENV_LITERAL = re.compile(r"REPRO_[A-Z0-9_]*[A-Z0-9]")
+#: A ``REPRO_*`` name in docs prose; a trailing ``*`` marks a wildcard.
+_DOC_ENV_TOKEN = re.compile(r"REPRO_[A-Z0-9_]+\*?")
 _WAIVE_COMMENT = re.compile(r"#\s*repro:\s*waive\[([A-Z0-9_,\s]+)\]\s*(.*)$")
 
 
@@ -489,7 +491,7 @@ def _rule_backend_contract(ctx: _FileContext) -> Iterator[Violation]:
                 ):
                     declares_name = True
     if not declares_name:
-        return  # not a kernel module (pool, autotune, counters, ...)
+        return  # not a kernel module (pool, counters, ...)
     required = ("forward", "forward_fused", "grad_weight", "grad_input")
     missing = [fn for fn in required if fn not in module_funcs]
     if missing:
@@ -571,14 +573,21 @@ _FILE_RULES = (
 # Project-level rules
 # ----------------------------------------------------------------------
 def _rule_env_docs(root: Path) -> Iterator[Violation]:
-    """ENV002: every registry entry must be referenced under ``docs/``."""
+    """ENV002: the registry and ``docs/`` name the same variables.
+
+    Every registry entry must be referenced under ``docs/``, and every
+    ``REPRO_*`` name a docs page mentions must be registered, so a deleted
+    variable cannot stay documented.  Wildcards (``REPRO_NN_*``) are prose
+    and pass.
+    """
     docs_dir = root / "docs"
     if not docs_dir.is_dir():
         return
-    corpus = "\n".join(
-        page.read_text(encoding="utf-8", errors="replace")
+    pages = {
+        page.name: page.read_text(encoding="utf-8", errors="replace")
         for page in sorted(docs_dir.glob("*.md"))
-    )
+    }
+    corpus = "\n".join(pages.values())
     for name in envvars.ENV_VARS:
         if name not in corpus:
             yield Violation(
@@ -592,6 +601,22 @@ def _rule_env_docs(root: Path) -> Iterator[Violation]:
                     "table)"
                 ),
             )
+    for page, text in pages.items():
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            for token in _DOC_ENV_TOKEN.findall(line):
+                if token.endswith("*") or token in envvars.ENV_VARS:
+                    continue
+                yield Violation(
+                    rule="ENV002",
+                    severity="error",
+                    path=f"docs/{page}",
+                    line=lineno,
+                    message=(
+                        f"`{token}` is documented but not registered in "
+                        "repro.analysis.envvars; register it or drop it "
+                        "from the docs"
+                    ),
+                )
 
 
 def _rule_counter_discipline(root: Path) -> Iterator[Violation]:

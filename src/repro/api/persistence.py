@@ -5,8 +5,8 @@ one or more ``.npz`` weight archives.  Two manifest flavours coexist:
 
 * **format_version 1** — the original CamAL layout (``members`` list, one
   archive per ensemble ResNet).  Written by :class:`CamALLocalizer.save`
-  and the legacy ``save_camal``; directories that predate the ``model``
-  key load as CamAL.
+  and :func:`repro.core.save_pipelines`; directories that predate the
+  ``model`` key load as CamAL.
 * **format_version 2** — the generic network-estimator layout::
 
       {

@@ -43,8 +43,8 @@ class ModelEntry:
     scales: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     #: Optional ``fn(config) -> [(C_in, C_out, K), ...]`` enumerating the
     #: model's convolution signatures at that config — the workload
-    #: description consumed by ``benchmarks/bench_nn_ops.py`` and backend
-    #: autotuner warm-up (see :func:`conv_shapes`).
+    #: description consumed by ``benchmarks/bench_nn_ops.py`` (see
+    #: :func:`conv_shapes`).
     conv_shapes_fn: Optional[Callable[[object], List[Tuple[int, int, int]]]] = None
 
     def config(self, scale: str = "paper", seed: int = 0, **overrides):

@@ -16,20 +16,19 @@ Usage::
     python -m repro data windows stores/ukdale --appliance kettle
     python -m repro data verify stores/ukdale --quarantine
 
-Each experiment subcommand prints the same rows/series the paper reports
-(see EXPERIMENTS.md for the paper-vs-measured comparison); ``report``
-trains per-appliance pipelines and serves an unseen household through the
-:class:`repro.serving.InferenceEngine`; ``models`` lists every estimator
-in the :mod:`repro.api` registry with its scale presets; ``train`` fits
-one appliance model — CamAL (Algorithm 1, optionally across worker
-processes and resumable from per-candidate checkpoints) or any registered
-baseline via ``--model <name>@<scale>`` — and persists it for
-``InferenceEngine.load`` (see ``docs/training.md`` and ``docs/api.md``);
-``data`` manages :mod:`repro.data` meter stores — ``ingest`` builds a
-sharded store from a corpus or CSV directory, ``info`` prints its
-manifest, ``windows`` counts streamable training windows per household,
-``verify`` re-hashes every shard against its manifest checksum (see
-``docs/data.md`` and ``docs/robustness.md``).
+Each experiment subcommand prints the same rows/series the paper
+reports; ``report`` trains per-appliance pipelines and serves an unseen
+household through the :class:`repro.serving.InferenceEngine`; ``models``
+lists every estimator in the :mod:`repro.api` registry with its scale
+presets; ``train`` fits one appliance model — CamAL (Algorithm 1,
+optionally across worker processes and resumable from per-candidate
+checkpoints) or any registered baseline via ``--model <name>@<scale>`` —
+and persists it for ``InferenceEngine.load`` (see ``docs/training.md``
+and ``docs/api.md``); ``data`` manages :mod:`repro.data` meter stores —
+``ingest`` builds a sharded store from a corpus or CSV directory,
+``info`` prints its manifest, ``windows`` counts streamable training
+windows per household, ``verify`` re-hashes every shard against its
+manifest checksum (see ``docs/data.md`` and ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -721,7 +720,6 @@ def run_train(args: argparse.Namespace) -> str:
 
 def build_serve_parser() -> argparse.ArgumentParser:
     """Parser of the ``repro serve`` subcommand."""
-    from .nn import backend as nn_backend
     from .serving.protocol import DEFAULT_PORT
 
     parser = argparse.ArgumentParser(
@@ -764,15 +762,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--cache-size", type=int, default=0, help="LRU window-result cache entries"
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=sorted(nn_backend.available_backends()),
-        help="pin the conv backend (default: process default, im2col)",
-    )
-    parser.add_argument(
-        "--autotune-cache", default=None, help="JSON file persisting autotune choices"
-    )
-    parser.add_argument(
         "--max-batch",
         type=int,
         default=None,
@@ -798,7 +787,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-warm",
         action="store_true",
-        help="skip the autotune/plan warm-up passes at startup "
+        help="skip the plan warm-up passes at startup "
         "(engine warm-up and the daemon's batch-bucket pre-tracing)",
     )
     parser.add_argument(
@@ -844,8 +833,6 @@ def run_serve(args: argparse.Namespace) -> int:
             stride=args.stride if args.stride is not None else max(1, args.window // 2),
             batch_size=args.batch_size,
             cache_size=args.cache_size,
-            backend=args.backend,
-            autotune_cache=args.autotune_cache,
         )
     )
     if args.demo:

@@ -3,13 +3,10 @@
 A trained pipeline is a directory containing one ``member_<i>.npz`` state
 archive per ensemble ResNet plus a ``manifest.json`` describing each
 member's architecture and the pipeline's localization settings, so a
-pipeline can be reloaded without re-running Algorithm 1.
-
-.. deprecated::
-    ``save_camal`` / ``load_camal`` are legacy entry points kept as thin
-    shims.  New code should go through :mod:`repro.api.persistence`
-    (``save_estimator`` / ``load_estimator``), which handles CamAL *and*
-    every registered baseline behind one manifest format.
+pipeline can be reloaded without re-running Algorithm 1.  This is
+format 1 of :mod:`repro.api.persistence`, whose ``save_estimator`` /
+``load_estimator`` are the public entry points for CamAL *and* every
+registered baseline.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ def _write_camal(camal: CamAL, directory: str, n_labels: int = 0) -> None:
 
 
 def _read_camal(directory: str) -> CamAL:
-    """Reload a pipeline saved by :func:`_write_camal` / ``save_camal``."""
+    """Reload a pipeline saved by :func:`_write_camal`."""
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory!r}")
@@ -103,35 +100,6 @@ def _read_camal(directory: str) -> CamAL:
         # Older manifests predate per-pipeline soft-status thresholds.
         status_threshold=float(manifest.get("status_threshold", 0.5)),
     )
-
-
-def save_camal(camal: CamAL, directory: str) -> None:
-    """Deprecated shim for :func:`repro.api.persistence.save_estimator`.
-
-    Behavior is identical to the original ``save_camal``; only the entry
-    point moved.
-    """
-    warnings.warn(
-        "save_camal is deprecated; use repro.api.save_estimator (or the "
-        "estimator's own .save()) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _write_camal(camal, directory)
-
-
-def load_camal(directory: str) -> CamAL:
-    """Deprecated shim for :func:`repro.api.persistence.load_estimator`.
-
-    Still returns the raw :class:`CamAL`; the generic loader returns a
-    :class:`repro.api.CamALLocalizer` wrapping the same pipeline.
-    """
-    warnings.warn(
-        "load_camal is deprecated; use repro.api.load_estimator instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _read_camal(directory)
 
 
 def save_pipelines(pipelines: Dict[str, CamAL], root: str) -> None:

@@ -17,7 +17,6 @@ applied to the last conv feature maps before pooling.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -81,17 +80,6 @@ class ConvBlock(nn.Module):
         np.multiply(conv.weight.data, scale[:, None, None], out=folded)
         if conv.bias is not None:
             shift = shift + conv.bias.data * scale
-        if os.environ.get("REPRO_NN_FUSE", "").lower() in ("off", "0", "false"):
-            # Escape hatch (mirrors REPRO_NN_PLAN=off): stage conv, shift
-            # and ReLU as separate passes — the pre-fusion eval path, kept
-            # as an A/B baseline for the fused epilogue below.
-            return nn.functional.conv1d(
-                x,
-                Tensor(folded),
-                Tensor(shift),
-                stride=conv.stride,
-                padding=conv.padding,
-            ).relu()
         # Single fused backend call: the conv GEMM applies the folded
         # scale/shift and the ReLU in its epilogue, in the pooled output
         # buffer — same bits as conv + bias + relu staged separately.
@@ -176,8 +164,7 @@ def ensemble_conv_shapes(
     ``kernel_set`` members with the given residual-unit ``filters`` — the
     member-specific ``k_p`` blocks, the fixed kernel-5/kernel-3 blocks and
     the 1x1 shortcuts.  ``benchmarks/bench_nn_ops.py`` uses the paper
-    preset's inventory as its Table-II workload, and it is the natural
-    warm-up set for the backend autotuner.
+    preset's inventory as its Table-II workload.
     """
     f1, f2, f3 = filters
     shapes = set()

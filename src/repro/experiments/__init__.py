@@ -57,8 +57,6 @@ from .runner import (
     evaluate_status,
     fit_on_case,
     house_windows,
-    make_baseline,
-    run_baseline,
     run_camal,
     run_model,
 )
@@ -93,9 +91,7 @@ __all__ = [
     "create_model",
     "fit_on_case",
     "run_model",
-    "make_baseline",
     "run_camal",
-    "run_baseline",
     "evaluate_status",
     "run_weak_table",
     "WeakTableResult",

@@ -8,7 +8,6 @@ applied to *all* baselines) stay identical across experiments.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -300,45 +299,3 @@ def run_model(
     return evaluate_status(
         name, case, status, estimator.train_seconds_, estimator.n_labels_
     )
-
-
-def make_baseline(name: str, scale: str, seed: int = 0):
-    """Deprecated: instantiate a bare baseline network at a width scale.
-
-    Use ``repro.api.create(name, scale=...)`` instead; this shim keeps the
-    historical behavior (returns the raw ``nn.Module``) on top of the
-    registry's scale presets.
-    """
-    warnings.warn(
-        "make_baseline is deprecated; use repro.api.create(name, scale=...) "
-        "(the returned estimator exposes the bare module as .network)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    estimator = api.create(name, scale=scale, seed=seed)
-    network = getattr(estimator, "network", None)
-    if network is None:
-        # Historical behavior: names without a bare network (CamAL) were
-        # never baselines and raised KeyError.
-        raise KeyError(f"unknown baseline {name!r}; known: {BASELINE_NAMES}")
-    return network
-
-
-def run_baseline(
-    name: str,
-    case: CaseData,
-    preset: Preset,
-    seed: int = 0,
-) -> CaseResult:
-    """Deprecated: train one baseline on the case and evaluate localization.
-
-    Thin shim over :func:`run_model`, which produces identical results
-    through the registry-backed estimator API.
-    """
-    warnings.warn(
-        "run_baseline is deprecated; use run_model (identical results via "
-        "the repro.api registry)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_model(name, case, preset, seed)

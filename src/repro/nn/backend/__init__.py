@@ -1,31 +1,25 @@
-"""``repro.nn.backend`` — pluggable convolution execution layer.
+"""``repro.nn.backend`` — the convolution execution layer.
 
 Every model in the registry (CamAL and all six baselines) compiles down to
 the fused primitives of :mod:`repro.nn.functional`; this package decides
-*how* the dominant one — ``conv1d`` — executes:
+*how* the dominant one — ``conv1d`` — executes.  There are exactly two
+kernels, each with a fixed role:
 
-``reference``
-    The original strided-window ``np.tensordot`` path, kept bit-for-bit as
-    numerical ground truth.
 ``im2col``
     K slice-copies into a C-contiguous column buffer + one batched sgemm
-    per direction.  Bit-level batch-size invariant, fastest at the small-
-    and mid-kernel shapes — the **default**.
-``fft``
-    rfft/irfft batched over channels with per-frequency complex GEMMs;
-    wins at long-kernel / long-window shapes.
-``auto``
-    A shape-keyed autotuner: the first call per ``(N, C_in, C_out, K,
-    L_pad, stride)`` signature times the three kernels on the live
-    operands and caches the winner (optionally persisted — see
-    :mod:`repro.nn.backend.autotune`).
+    per direction.  Bit-level batch-size invariant — the **default**, and
+    the only kernel the traced ensemble plan (:mod:`repro.core.grouped`)
+    compiles.
+``reference``
+    The original strided-window ``np.tensordot`` path, kept bit-for-bit as
+    numerical ground truth and for bit-reproducible training.
 
 Selection:
 
 * process default: the ``REPRO_NN_BACKEND`` environment variable
-  (``reference|im2col|fft|auto``), else ``im2col``;
+  (``reference|im2col``), else ``im2col``;
 * programmatic: :func:`set_backend` or the :func:`use_backend` context
-  manager (used by tests and the serving engine's ``EngineConfig.backend``).
+  manager.
 
 The package also owns the :class:`BufferPool` arena used by inference mode
 (:func:`use_pool` / :func:`scratch`): with gradients disabled, conv scratch
@@ -37,63 +31,44 @@ from __future__ import annotations
 
 import contextlib
 import os
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ...analysis.markers import hot_path
-from . import counters, fft, im2col, reference
-from .autotune import (
-    AUTOTUNE_ENV,
-    CACHE_ENV,
-    ConvAutotuner,
-    Signature,
-    autotune_enabled,
-)
+from . import counters, im2col, reference
 from .counters import op_counts, reset_op_counts
 from .pool import BufferPool, current_pool, scratch, use_pool
 
 __all__ = [
-    "AUTOTUNE_ENV",
     "BACKEND_ENV",
-    "CACHE_ENV",
     "BufferPool",
-    "autotune_enabled",
     "available_backends",
-    "autotune_cache_dirty",
-    "autotune_choices",
-    "clear_autotune_cache",
     "conv1d_fused",
     "current_pool",
     "get_backend",
-    "load_autotune_cache",
     "op_counts",
     "pad_scratch",
     "reset_op_counts",
     "resolve_conv",
-    "save_autotune_cache",
     "scratch",
     "set_backend",
     "use_backend",
     "use_pool",
 ]
 
-#: Environment variable selecting the process-wide default mode.
+#: Environment variable selecting the process-wide default kernel.
 BACKEND_ENV = "REPRO_NN_BACKEND"
 
-#: The concrete kernels, in autotuner candidate order.
 _KERNELS = {
     im2col.NAME: im2col,
-    fft.NAME: fft,
     reference.NAME: reference,
 }
 
 #: Valid values for :func:`set_backend` / ``REPRO_NN_BACKEND``.
-_MODES: Tuple[str, ...] = ("reference", "im2col", "fft", "auto")
+_MODES: Tuple[str, ...] = (reference.NAME, im2col.NAME)
 
-_DEFAULT_MODE = "im2col"
-
-_autotuner = ConvAutotuner(_KERNELS)
+_DEFAULT_MODE = im2col.NAME
 
 
 def _validated(mode: str) -> str:
@@ -114,24 +89,24 @@ _mode: str = _mode_from_env()
 
 
 def available_backends() -> Tuple[str, ...]:
-    """The selectable modes (three kernels plus ``auto``)."""
+    """The selectable kernels."""
     return _MODES
 
 
 def get_backend() -> str:
-    """The currently active backend mode."""
+    """The currently active kernel name."""
     return _mode
 
 
 def set_backend(mode: str) -> None:
-    """Set the process-wide backend mode (``reference|im2col|fft|auto``)."""
+    """Set the process-wide kernel (``reference|im2col``)."""
     global _mode
     _mode = _validated(mode)
 
 
 @contextlib.contextmanager
 def use_backend(mode: Optional[str]):
-    """Temporarily switch the backend mode; ``None`` is a no-op."""
+    """Temporarily switch the kernel; ``None`` is a no-op."""
     if mode is None:
         yield get_backend()
         return
@@ -144,14 +119,9 @@ def use_backend(mode: Optional[str]):
         _mode = previous
 
 
-def resolve_conv(x_pad: np.ndarray, weight: np.ndarray, stride: int):
-    """The kernel module that executes this conv1d call under the active mode."""
-    if _mode != "auto":
-        return _KERNELS[_mode]
-    n, c_in, l_pad = x_pad.shape
-    c_out, _, kernel = weight.shape
-    signature: Signature = (n, c_in, c_out, kernel, l_pad, stride)
-    return _KERNELS[_autotuner.choose(signature, x_pad, weight, stride)]
+def resolve_conv():
+    """The kernel module that executes conv1d calls under the active mode."""
+    return _KERNELS[_mode]
 
 
 @hot_path
@@ -184,38 +154,12 @@ def conv1d_fused(
 ) -> np.ndarray:
     """Fused conv -> per-channel shift -> ReLU on raw arrays (inference only).
 
-    The single backend entry point behind the folded ConvBlock
-    (:class:`repro.core.resnet.ConvBlock`) and the grouped ensemble
-    executor: one kernel call computes the convolution and applies the
-    already-folded batch-norm shift and the ReLU in its epilogue, writing
-    into a pooled output buffer.  Callers must guarantee gradients are
-    off — no backward context exists on this path.
+    The backend entry point behind the folded eval-mode ConvBlock
+    (:class:`repro.core.resnet.ConvBlock`): one kernel call computes the
+    convolution and applies the already-folded batch-norm shift and the
+    ReLU in its epilogue, writing into a pooled output buffer.  Callers
+    must guarantee gradients are off — no backward context exists on this
+    path.
     """
     x_pad = pad_scratch(x, padding)
-    kern = resolve_conv(x_pad, weight, stride)
-    return kern.forward_fused(x_pad, weight, stride, shift=shift, relu=relu)
-
-
-# -- autotuner cache surface ----------------------------------------------
-def autotune_choices() -> Dict[Signature, str]:
-    """Copy of the tuned (signature -> kernel name) table."""
-    return _autotuner.choices
-
-
-def autotune_cache_dirty() -> bool:
-    """Whether the table holds entries not yet persisted by save_cache."""
-    return _autotuner.dirty
-
-
-def clear_autotune_cache() -> None:
-    _autotuner.clear()
-
-
-def load_autotune_cache(path: str) -> int:
-    """Merge a persisted autotune cache; returns the number of entries."""
-    return _autotuner.load_cache(path)
-
-
-def save_autotune_cache(path: str) -> None:
-    """Persist the in-process autotune cache as JSON."""
-    _autotuner.save_cache(path)
+    return resolve_conv().forward_fused(x_pad, weight, stride, shift=shift, relu=relu)

@@ -8,9 +8,9 @@ kernels and the grouped executor record every fused call and every batched
 GEMM they issue, and the call-count tests in ``tests/test_backend.py``
 assert the totals.
 
-Kept in a leaf module so the kernel modules (``im2col``/``fft``/
-``reference``) and the grouped executor can record without importing the
-backend package (which imports them).
+Kept in a leaf module so the kernel modules (``im2col``/``reference``)
+and the grouped executor can record without importing the backend
+package (which imports them).
 """
 
 from __future__ import annotations

@@ -21,8 +21,7 @@ Each sample's GEMM has shape ``(C_out, C_in*K) @ (C_in*K, L_out)``
 regardless of the batch size, which keeps the kernel **bit-level
 batch-size invariant** — scoring a window alone or inside any batch yields
 identical float32 bits.  The serving cache's bit-identity contract and the
-parallel-training equivalence tests rely on this property, which is why
-im2col (and not the FFT kernel) is the default backend.
+parallel-training equivalence tests rely on this property.
 
 In inference mode (``keep_ctx=False``) both the column scratch and the
 output come from the active :class:`~repro.nn.backend.pool.BufferPool`,

@@ -7,8 +7,8 @@ by finite-difference gradient checks in ``tests/test_gradients.py``.
 
 Two execution concerns are factored out of the math:
 
-* **convolution kernels** live in :mod:`repro.nn.backend` (``reference`` /
-  ``im2col`` / ``fft``, selected per call by the active backend mode) —
+* **convolution kernels** live in :mod:`repro.nn.backend` (``im2col`` /
+  ``reference``, selected per call by the active backend mode) —
   ``conv1d`` here only handles padding, bias and graph bookkeeping;
 * **inference mode**: when gradients are off (``nn.no_grad``) or no input
   requires them, every primitive takes an early return that builds *no*
@@ -69,7 +69,7 @@ def conv1d(
         x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
     else:
         x_pad = backend.pad_scratch(x.data, padding) if padding else x.data
-    kern = backend.resolve_conv(x_pad, weight.data, stride)
+    kern = backend.resolve_conv()
     out, ctx = kern.forward(x_pad, weight.data, stride, keep_ctx=needs)
     if bias is not None:
         out += bias.data[None, :, None]

@@ -14,13 +14,12 @@ transaction per scratch buffer.  This module removes all of it:
   live parameter objects it reads;
 * a **replay** is ``for step in steps: step()`` — zero
   ``nn.Module.__call__`` dispatch, zero graph-node checks, zero
-  allocations on the im2col path (the FFT kernel's internal transform
-  temporaries remain ``np.fft``'s own).
+  allocations.
 
-Plans are cached per signature — keyed like the conv autotuner's
-signature on the shapes that determine the call sequence (batch size,
-window length, backend mode, ...) — in a :class:`PlanCache` owned by the
-traced object (the CamAL ensemble keeps one next to its buffer pool).
+Plans are cached per signature — the shapes that determine the call
+sequence (batch size, window length, backend mode, ...) — in a
+:class:`PlanCache` owned by the traced object (the CamAL ensemble keeps
+one next to its buffer pool).
 Anything the tracer does not support falls back to the untraced path and
 is counted, so regressions show up in ``engine.plan_stats()`` and the
 benchmark JSON rather than as silent slowdowns.

@@ -43,7 +43,6 @@ bit-identical to serial ones (regression-tested from 8 threads in
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -52,7 +51,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tupl
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .. import nn
 from ..core.localization import LocalizationOutput
 from ..simdata.preprocessing import SCALE_DIVISOR
 from .windowing import SlidingWindowPlan, plan_windows, slice_windows, stitch_mean
@@ -80,17 +78,6 @@ class EngineConfig:
     #: defers to each pipeline's own ``status_threshold``; set a value
     #: only to explicitly override every pipeline.
     status_threshold: Optional[float] = None
-    #: Convolution backend the engine's pipelines run under
-    #: (``reference|im2col|fft|auto``); ``None`` keeps the process-wide
-    #: default.  ``auto`` tunes per shape but its kernel choice (and hence
-    #: the float32 bits) can vary between runs — pin a kernel when
-    #: bit-reproducibility matters more than throughput (docs/nn.md).
-    backend: Optional[str] = None
-    #: JSON file persisting the backend autotuner's shape->kernel table
-    #: (usually next to the model/store manifests).  Loaded when the
-    #: engine is built, rewritten after each run that tuned new shapes, so
-    #: a restarted engine skips the first-call timing pass.
-    autotune_cache: Optional[str] = None
 
 
 @dataclass
@@ -227,20 +214,13 @@ class InferenceEngine:
             raise ValueError(f"window must be positive, got {config.window}")
         if config.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {config.batch_size}")
-        if config.backend is not None and config.backend not in nn.backend.available_backends():
-            raise ValueError(
-                f"unknown backend {config.backend!r}; "
-                f"choose from {nn.backend.available_backends()}"
-            )
         self.config = config
         self.pipelines: Dict[str, object] = {}
         self._cache: "OrderedDict[Tuple[str, bytes], _CacheRow]" = OrderedDict()
-        #: Serializes every forward pass plus the LRU-cache and
-        #: autotune-save bookkeeping around it.  Reentrant so ``run`` /
-        #: ``warmup`` may compose the locked primitives freely.
+        #: Serializes every forward pass plus the LRU-cache bookkeeping
+        #: around it.  Reentrant so ``run`` / ``warmup`` may compose the
+        #: locked primitives freely.
         self._lock = threading.RLock()
-        if config.autotune_cache and os.path.exists(config.autotune_cache):
-            nn.backend.load_autotune_cache(config.autotune_cache)
 
     # -- pipeline registry ------------------------------------------------
     def register(self, appliance: str, pipeline) -> "InferenceEngine":
@@ -275,13 +255,11 @@ class InferenceEngine:
         """Load any persisted estimator directory and register it.
 
         Dispatches through :func:`repro.api.persistence.load_estimator`,
-        so both legacy ``save_camal`` layouts and generic format-2
-        manifests (baseline adapters) serve transparently.  With ``warm``
-        (the default) the engine immediately pushes one batch of zeros
-        through the new pipeline so the backend autotuner times its conv
-        shapes and the plan layer traces its execution plan *now*, not on
-        the first real request — and persists the autotune table if
-        ``autotune_cache`` is configured.
+        so both CamAL's format-1 manifests and generic format-2 manifests
+        (baseline adapters) serve transparently.  With ``warm`` (the
+        default) the engine immediately pushes one batch of zeros through
+        the new pipeline so the plan layer traces its execution plan
+        *now*, not on the first real request.
         """
         from ..api.persistence import load_estimator
 
@@ -291,20 +269,18 @@ class InferenceEngine:
         return self
 
     def warmup(self, appliance: Optional[str] = None) -> "InferenceEngine":
-        """Prime the autotune and execution-plan caches with a dummy batch.
+        """Prime the execution-plan caches with a dummy batch.
 
         Runs ``(batch_size, window)`` zeros through each selected
-        pipeline under the engine's configured backend — the same shapes
-        real serving uses, so every shape the autotuner would time and
-        every plan signature the tracer would record is warm before the
-        first request.  Newly tuned shapes are persisted right away.
+        pipeline — the same shapes real serving uses, so every plan
+        signature the tracer would record is warm before the first
+        request.
         """
         names = list(self.pipelines) if appliance is None else [appliance]
         windows = np.zeros((self.config.batch_size, self.config.window), np.float32)
         with self._lock:
             for name in names:
                 self._localize(self.pipelines[name], windows)
-            self._save_autotune_cache()
         return self
 
     @property
@@ -363,8 +339,7 @@ class InferenceEngine:
         """Score a scaled window batch with one registered pipeline.
 
         The thread-safe scoring primitive: consults/updates the LRU
-        result cache, runs the forward pass under the engine's backend,
-        and persists newly tuned autotune entries — all behind the engine
+        result cache and runs the forward pass — both behind the engine
         lock, because the fused path's buffer pools and traced plans are
         single-writer and the cache is shared across appliances.  Returns
         ``(LocalizationOutput, cache_hits)``.
@@ -378,9 +353,7 @@ class InferenceEngine:
         if pipeline is None:
             raise KeyError(f"no pipeline registered for appliance {appliance!r}")
         with self._lock:
-            output, hits = self._localize_cached(appliance, pipeline, windows)
-            self._save_autotune_cache()
-        return output, hits
+            return self._localize_cached(appliance, pipeline, windows)
 
     def stitch_result(
         self,
@@ -450,60 +423,45 @@ class InferenceEngine:
         return float(getattr(pipeline, "status_threshold", 0.5))
 
     def _localize(self, pipeline, windows: np.ndarray) -> LocalizationOutput:
-        """One pipeline pass under the engine's configured conv backend."""
-        with nn.backend.use_backend(self.config.backend):
-            return pipeline.localize(windows, self.config.batch_size)
+        """One pipeline pass in micro-batches of ``batch_size`` windows."""
+        return pipeline.localize(windows, self.config.batch_size)
 
-    def _save_autotune_cache(self) -> None:
-        """Persist newly tuned conv shapes next to the manifests (if configured).
+    def _ensemble_stats(self, attr: str) -> Dict[str, Dict[str, int]]:
+        """``.stats`` of each fused ensemble's ``attr`` (pool or plan cache).
 
-        Skipped when nothing new was tuned since the last save, so a
-        serving loop scoring series after series does not rewrite an
-        unchanged JSON file once its shapes are warm.
+        Covers pipelines whose serving path runs through the fused
+        ensemble (CamAL and its estimator adapter); other estimators, and
+        ensembles that have not created ``attr`` yet, report nothing.
         """
-        if self.config.autotune_cache and nn.backend.autotune_cache_dirty():
-            nn.backend.save_autotune_cache(self.config.autotune_cache)
+        stats: Dict[str, Dict[str, int]] = {}
+        for name, pipeline in self.pipelines.items():
+            ensemble = getattr(pipeline, "ensemble", None)
+            if ensemble is None:  # estimator adapter wrapping a CamAL
+                ensemble = getattr(
+                    getattr(pipeline, "pipeline", None), "ensemble", None
+                )
+            owner = getattr(ensemble, attr, None)
+            if owner is not None:
+                stats[name] = owner.stats
+        return stats
 
     def buffer_pool_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-appliance :class:`repro.nn.backend.BufferPool` counters.
 
-        Covers pipelines whose serving path runs through the fused
-        ensemble loop (CamAL and its estimator adapter); other estimators
-        report nothing.  ``fresh_allocations`` staying flat across runs is
-        the allocation-free steady-state guarantee the benchmark asserts.
+        ``fresh_allocations`` staying flat across runs is the
+        allocation-free steady-state guarantee the benchmark asserts.
         """
-        stats: Dict[str, Dict[str, int]] = {}
-        for name, pipeline in self.pipelines.items():
-            ensemble = getattr(pipeline, "ensemble", None)
-            if ensemble is None:  # estimator adapter wrapping a CamAL
-                ensemble = getattr(
-                    getattr(pipeline, "pipeline", None), "ensemble", None
-                )
-            pool = getattr(ensemble, "_pool", None)
-            if pool is not None:
-                stats[name] = pool.stats
-        return stats
+        return self._ensemble_stats("_pool")
 
     def plan_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-appliance execution-plan cache counters (repro.nn.plan).
 
-        Same coverage as :meth:`buffer_pool_stats`: pipelines serving
-        through the fused ensemble report ``plans`` / ``traces`` /
-        ``replays`` / ``fallbacks``.  In steady state ``replays`` grows
-        while ``traces`` stays flat — every batch reuses a recorded plan
-        instead of re-dispatching through the module graph.
+        Pipelines serving through the fused ensemble report ``plans`` /
+        ``traces`` / ``replays`` / ``fallbacks``.  In steady state
+        ``replays`` grows while ``traces`` stays flat — every batch reuses
+        a recorded plan instead of re-dispatching through the module graph.
         """
-        stats: Dict[str, Dict[str, int]] = {}
-        for name, pipeline in self.pipelines.items():
-            ensemble = getattr(pipeline, "ensemble", None)
-            if ensemble is None:  # estimator adapter wrapping a CamAL
-                ensemble = getattr(
-                    getattr(pipeline, "pipeline", None), "ensemble", None
-                )
-            cache = getattr(ensemble, "_plan_cache", None)
-            if cache is not None:
-                stats[name] = cache.stats
-        return stats
+        return self._ensemble_stats("_plan_cache")
 
     def _localize_cached(
         self, appliance: str, pipeline, windows: np.ndarray

@@ -3,7 +3,7 @@
 Everything below this module is one-shot and one-process; this is the
 long-lived layer that makes the fast paths pay off under real traffic.
 A :class:`ServingDaemon` owns a warm :class:`~repro.serving.engine.
-InferenceEngine` (model fleet + autotune cache + traced plans) and
+InferenceEngine` (model fleet + traced plans) and
 serves concurrent scoring requests over the newline-delimited-JSON TCP
 protocol of :mod:`repro.serving.protocol`.
 

@@ -1,15 +1,20 @@
-"""The conv backend layer: kernels, autotuner, inference mode, buffer pool.
+"""The conv backend layer: kernels, selection, inference mode, buffer pool.
 
 Covers the contract of ``repro.nn.backend``:
 
-* finite-difference gradient checks for the im2col and FFT kernels across
-  the same stride/padding grid that ``tests/test_gradients.py`` pins for
+* finite-difference gradient checks for the im2col kernel across the same
+  stride/padding grid that ``tests/test_gradients.py`` pins for
   ``reference``;
-* cross-backend forward equivalence at paper (Table-II ResNet) shapes;
-* the shape-keyed autotuner and its persisted cache;
-* inference mode building zero graph nodes, engine outputs independent of
-  the backend choice, and the buffer pool's allocation-free steady state.
+* im2col/reference forward equivalence at paper (Table-II ResNet) shapes;
+* kernel selection accepting exactly ``reference|im2col``;
+* inference mode building zero graph nodes, the plan compiling for im2col
+  only, engine outputs independent of the kernel, and the buffer pool's
+  allocation-free steady state.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,14 +35,14 @@ def _mask(shape):
     return Tensor(RNG.normal(size=shape).astype(np.float32))
 
 
-@pytest.fixture(params=["im2col", "fft"])
+@pytest.fixture(params=["im2col"])
 def fast_backend(request):
     with backend.use_backend(request.param):
         yield request.param
 
 
 class TestBackendGradients:
-    """The im2col/FFT backward contractions match finite differences."""
+    """The im2col backward contractions match finite differences."""
 
     def test_conv1d_basic(self, fast_backend):
         x, w, b = _t((2, 3, 12)), _t((4, 3, 3), 0.4), _t((4,), 0.1)
@@ -82,25 +87,23 @@ class TestCrossBackendEquivalence:
         b = Tensor(RNG.normal(size=(c_out,)).astype(np.float32) * 0.1)
         pad = (kernel - 1) // 2
         outs = {}
-        for name in ("reference", "im2col", "fft"):
+        for name in ("reference", "im2col"):
             with backend.use_backend(name):
                 outs[name] = F.conv1d(x, w, b, padding=pad).data
-        scale = np.abs(outs["reference"]).max()
-        for name in ("im2col", "fft"):
-            rel = np.abs(outs[name] - outs["reference"]).max() / scale
-            assert rel < 1e-5, f"{name} diverges from reference: rel={rel}"
+        rel = np.abs(outs["im2col"] - outs["reference"]).max()
+        rel /= np.abs(outs["reference"]).max()
+        assert rel < 1e-5, f"im2col diverges from reference: rel={rel}"
 
     def test_strided_forward_matches_reference(self):
         x = Tensor(RNG.normal(size=(3, 8, 57)).astype(np.float32))
         w = Tensor(RNG.normal(size=(6, 8, 5)).astype(np.float32) * 0.2)
         outs = {}
-        for name in ("reference", "im2col", "fft"):
+        for name in ("reference", "im2col"):
             with backend.use_backend(name):
                 outs[name] = F.conv1d(x, w, stride=3, padding=2).data
-        for name in ("im2col", "fft"):
-            np.testing.assert_allclose(
-                outs[name], outs["reference"], rtol=1e-4, atol=1e-5
-            )
+        np.testing.assert_allclose(
+            outs["im2col"], outs["reference"], rtol=1e-4, atol=1e-5
+        )
 
     def test_im2col_is_batch_size_invariant(self):
         """The serving cache's bit-identity contract: a window scored alone
@@ -114,43 +117,34 @@ class TestCrossBackendEquivalence:
                 assert np.array_equal(full[sl], sub)
 
 
-class TestAutotuner:
-    def test_auto_tunes_and_caches_by_signature(self):
-        backend.clear_autotune_cache()
-        x = Tensor(RNG.normal(size=(2, 4, 40)).astype(np.float32))
-        w = Tensor(RNG.normal(size=(3, 4, 5)).astype(np.float32))
-        with backend.use_backend("auto"):
-            F.conv1d(x, w, padding=2)
-        choices = backend.autotune_choices()
-        assert (2, 4, 3, 5, 44, 1) in choices
-        assert choices[(2, 4, 3, 5, 44, 1)] in ("reference", "im2col", "fft")
-        # Second call reuses the cached choice (no new entries).
-        with backend.use_backend("auto"):
-            F.conv1d(x, w, padding=2)
-        assert backend.autotune_choices() == choices
-
-    def test_cache_round_trips_through_json(self, tmp_path):
-        backend.clear_autotune_cache()
-        x = Tensor(RNG.normal(size=(1, 2, 24)).astype(np.float32))
-        w = Tensor(RNG.normal(size=(2, 2, 3)).astype(np.float32))
-        with backend.use_backend("auto"):
-            F.conv1d(x, w)
-        before = backend.autotune_choices()
-        assert backend.autotune_cache_dirty()  # tuned but not yet persisted
-        path = str(tmp_path / "autotune.json")
-        backend.save_autotune_cache(path)
-        assert not backend.autotune_cache_dirty()  # persisted => clean
-        backend.clear_autotune_cache()
-        assert backend.autotune_choices() == {}
-        assert backend.load_autotune_cache(path) == len(before)
-        assert backend.autotune_choices() == before
+class TestBackendSelection:
+    def test_exactly_two_kernels(self):
+        assert backend.available_backends() == ("reference", "im2col")
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown nn backend"):
-            backend.set_backend("winograd")
+        before = backend.get_backend()
+        for mode in ("winograd", "fft", "auto"):  # fft/auto: deleted modes
+            with pytest.raises(ValueError, match="unknown nn backend"):
+                backend.set_backend(mode)
+        assert backend.get_backend() == before  # a failed set changes nothing
         with pytest.raises(ValueError):
             with backend.use_backend("nope"):
                 pass  # pragma: no cover
+
+    def test_deleted_mode_in_env_rejected_at_import(self):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, REPRO_NN_BACKEND="fft", PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import repro.nn"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode != 0
+        assert "ValueError" in proc.stderr
+        assert "unknown nn backend 'fft'" in proc.stderr
 
 
 class TestInferenceMode:
@@ -272,6 +266,25 @@ class TestInferenceMode:
         # counters move in lockstep on a pure im2col replay.
         assert counts["fused_conv_calls"] == counts["fused_conv_gemms"]
 
+    def test_reference_kernel_runs_member_loop_untraced(self):
+        """Plans compile for im2col only: under ``reference`` every batch
+        takes the member loop, counted as a fallback, with its own bits."""
+        from repro.core import ResNetEnsemble
+
+        ensemble = ResNetEnsemble([self._tiny_model(seed=s) for s in (0, 1)])
+        x = RNG.random((8, 32)).astype(np.float32)
+        proba = np.zeros(8, dtype=np.float32)
+        cam = np.zeros((8, 32), dtype=np.float32)
+        with backend.use_backend("reference"):
+            fused = ensemble.forward_fused(x, batch_size=8)
+            with nn.no_grad():
+                ensemble._forward_fused_loop(x, proba, cam, 0, class_index=1)
+        stats = ensemble.plan_cache.stats
+        assert stats["traces"] == 0
+        assert stats["fallbacks"] >= 1
+        np.testing.assert_array_equal(fused.proba, proba)
+        np.testing.assert_array_equal(fused.cam, cam)
+
     def test_plan_replay_zero_module_dispatch_and_pool_traffic(self):
         from repro.core import ResNetEnsemble
 
@@ -288,7 +301,7 @@ class TestInferenceMode:
 
 
 class TestEngineBackendChoice:
-    def _engine(self, backend_name=None):
+    def _engine(self):
         from repro.core import CamAL, ResNetConfig, ResNetEnsemble, ResNetTSC
         from repro.serving import EngineConfig, InferenceEngine
 
@@ -297,51 +310,24 @@ class TestEngineBackendChoice:
             for i, k in enumerate((5, 7))
         ]
         camal = CamAL(ResNetEnsemble(models), detection_threshold=0.0)
-        engine = InferenceEngine(
-            EngineConfig(window=32, stride=16, batch_size=16, backend=backend_name)
-        )
+        engine = InferenceEngine(EngineConfig(window=32, stride=16, batch_size=16))
         engine.register("kettle", camal)
         return engine
 
     def test_outputs_unchanged_by_backend_choice(self):
         series = (RNG.random(500) * 2000.0).astype(np.float32)
         results = {}
-        for name in ("reference", "im2col", "fft"):
-            results[name] = self._engine(name).run(series).per_appliance["kettle"]
-        ref = results["reference"]
-        for name in ("im2col", "fft"):
-            got = results[name]
-            np.testing.assert_allclose(
-                got.soft_status, ref.soft_status, rtol=1e-5, atol=1e-5
-            )
-            # Binary status may only differ where the soft score sits within
-            # float tolerance of the 0.5 rounding threshold.
-            disagree = got.status != ref.status
-            assert np.all(np.abs(ref.soft_status[disagree] - 0.5) < 1e-4)
-
-    def test_engine_rejects_unknown_backend(self):
-        from repro.serving import EngineConfig, InferenceEngine
-
-        with pytest.raises(ValueError, match="unknown backend"):
-            InferenceEngine(EngineConfig(window=32, backend="cudnn"))
-
-    def test_engine_persists_autotune_cache(self, tmp_path):
-        import json
-        import os
-
-        backend.clear_autotune_cache()
-        path = str(tmp_path / "autotune.json")
-        engine = self._engine("auto")
-        engine.config = type(engine.config)(
-            window=32, stride=16, batch_size=16, backend="auto", autotune_cache=path
+        for name in ("reference", "im2col"):
+            with backend.use_backend(name):
+                results[name] = self._engine().run(series).per_appliance["kettle"]
+        ref, got = results["reference"], results["im2col"]
+        np.testing.assert_allclose(
+            got.soft_status, ref.soft_status, rtol=1e-5, atol=1e-5
         )
-        series = (RNG.random(200) * 2000.0).astype(np.float32)
-        engine.run(series)
-        assert os.path.exists(path)
-        with open(path) as fh:
-            saved = json.load(fh)
-        assert saved  # at least the engine's conv shapes were tuned
-        assert set(saved.values()) <= {"reference", "im2col", "fft"}
+        # Binary status may only differ where the soft score sits within
+        # float tolerance of the 0.5 rounding threshold.
+        disagree = got.status != ref.status
+        assert np.all(np.abs(ref.soft_status[disagree] - 0.5) < 1e-4)
 
     def test_buffer_pool_stats_surface(self):
         engine = self._engine()
@@ -361,19 +347,6 @@ class TestEngineBackendChoice:
         series = np.full(16 * 16 + 16, 800.0, dtype=np.float32)
         engine.run(series)  # full batches replay the warmed plan
         assert engine.plan_stats()["kettle"]["replays"] > replays_before
-
-    def test_autotune_off_env_serves_default_kernel(self, monkeypatch):
-        monkeypatch.setenv(backend.AUTOTUNE_ENV, "off")
-        backend.clear_autotune_cache()
-        x = RNG.random((2, 3, 40)).astype(np.float32)
-        w = RNG.random((4, 3, 5)).astype(np.float32)
-        with backend.use_backend("auto"):
-            out = backend.conv1d_fused(x, w, stride=1, padding=2, relu=False)
-        with backend.use_backend("im2col"):
-            ref = backend.conv1d_fused(x, w, stride=1, padding=2, relu=False)
-        np.testing.assert_array_equal(out, ref)
-        # The untimed default must not be cached as if it had been tuned.
-        assert not backend.autotune_cache_dirty()
 
 
 class TestUpsampleSegmentSum:

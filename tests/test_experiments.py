@@ -71,37 +71,6 @@ class TestRunnerPlumbing:
         assert result.method == "always-on"
         assert result.n_labels == 0
 
-    def test_make_baseline_scales(self):
-        with pytest.warns(DeprecationWarning):
-            small = ex.make_baseline("TPNILM", "small")
-            tiny = ex.make_baseline("TPNILM", "tiny")
-            paper = ex.make_baseline("TPNILM", "paper")
-        assert tiny.num_parameters() < small.num_parameters() < paper.num_parameters()
-
-    def test_make_baseline_unknown(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                ex.make_baseline("LSTM", "small")
-            with pytest.raises(KeyError):
-                ex.make_baseline("TPNILM", "huge")
-            # CamAL is registered but is not a baseline network: the
-            # historical KeyError contract still holds.
-            with pytest.raises(KeyError):
-                ex.make_baseline("CamAL", "small")
-
-    def test_make_baseline_shim_matches_registry(self):
-        """Deprecated shim returns the exact network the registry builds."""
-        from repro import api
-
-        with pytest.warns(DeprecationWarning, match="make_baseline is deprecated"):
-            legacy = ex.make_baseline("CRNN", "tiny", seed=3)
-        fresh = api.create("crnn", scale="tiny", seed=3).network
-        assert legacy.config == fresh.config
-        old_state, new_state = legacy.state_dict(), fresh.state_dict()
-        assert old_state.keys() == new_state.keys()
-        for key in old_state:
-            assert np.array_equal(old_state[key], new_state[key])
-
 
 class TestComplexityTable:
     def test_rows_cover_all_models(self):

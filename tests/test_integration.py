@@ -74,20 +74,6 @@ class TestBaselinesEndToEnd:
         result = ex.run_model("UNet-NILM", kettle_case, preset, seed=0)
         assert result.n_labels == len(kettle_case.train) * preset.window
 
-    def test_run_baseline_shim_warns_and_matches_run_model(
-        self, kettle_case, preset
-    ):
-        """The deprecated entry point routes through the registry with
-        identical results."""
-        with pytest.warns(DeprecationWarning, match="run_baseline is deprecated"):
-            legacy = ex.run_baseline("TPNILM", kettle_case, preset, seed=0)
-        fresh = ex.run_model("TPNILM", kettle_case, preset, seed=0)
-        assert legacy.f1 == fresh.f1
-        assert legacy.precision == fresh.precision
-        assert legacy.recall == fresh.recall
-        assert legacy.mae_watts == fresh.mae_watts
-        assert legacy.n_labels == fresh.n_labels
-
 
 class TestWeakTableEndToEnd:
     def test_camal_beats_crnn_weak_on_average(self, preset):

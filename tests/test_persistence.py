@@ -1,9 +1,7 @@
 """Tests for CamAL pipeline persistence (save/load round trips).
 
-The canonical entry points are the generic
-:func:`repro.api.save_estimator` / :func:`repro.api.load_estimator`;
-``save_camal`` / ``load_camal`` remain as deprecation shims with
-identical behavior (asserted below).
+The entry points are the generic :func:`repro.api.save_estimator` /
+:func:`repro.api.load_estimator`.
 """
 
 import json
@@ -13,14 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api import CamALLocalizer, load_estimator, save_estimator
-from repro.core import (
-    CamAL,
-    ResNetConfig,
-    ResNetEnsemble,
-    ResNetTSC,
-    load_camal,
-    save_camal,
-)
+from repro.core import CamAL, ResNetConfig, ResNetEnsemble, ResNetTSC
 
 
 @pytest.fixture()
@@ -107,30 +98,3 @@ class TestErrors:
         target = tmp_path / "nested" / "dir"
         save_estimator(camal, str(target))
         assert load_estimator(str(target)) is not None
-
-
-class TestDeprecatedShims:
-    """save_camal/load_camal warn but behave exactly like the originals."""
-
-    def test_save_camal_warns_and_writes_same_layout(self, camal, tmp_path):
-        with pytest.warns(DeprecationWarning, match="save_camal is deprecated"):
-            save_camal(camal, str(tmp_path / "legacy"))
-        save_estimator(camal, str(tmp_path / "fresh"))
-        legacy = json.loads((tmp_path / "legacy" / "manifest.json").read_text())
-        fresh = json.loads((tmp_path / "fresh" / "manifest.json").read_text())
-        assert legacy == fresh
-        assert set(os.listdir(tmp_path / "legacy")) == set(
-            os.listdir(tmp_path / "fresh")
-        )
-
-    def test_load_camal_warns_and_predicts_identically(self, camal, tmp_path):
-        save_estimator(camal, str(tmp_path))
-        with pytest.warns(DeprecationWarning, match="load_camal is deprecated"):
-            legacy = load_camal(str(tmp_path))
-        assert isinstance(legacy, CamAL)
-        fresh = load_estimator(str(tmp_path))
-        x = np.random.default_rng(1).random((4, 32)).astype(np.float32)
-        assert np.array_equal(legacy.localize(x).status, fresh.localize(x).status)
-        assert np.array_equal(
-            legacy.localize(x).detection_proba, fresh.localize(x).detection_proba
-        )

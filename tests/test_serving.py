@@ -553,13 +553,9 @@ class TestEngineThreadSafety:
         import threading
 
         camal = _camal(n_models=2)
-        shared = InferenceEngine(
-            EngineConfig(window=32, stride=16, cache_size=16, backend="im2col")
-        )
+        shared = InferenceEngine(EngineConfig(window=32, stride=16, cache_size=16))
         shared.register("kettle", camal)
-        serial = InferenceEngine(
-            EngineConfig(window=32, stride=16, cache_size=0, backend="im2col")
-        )
+        serial = InferenceEngine(EngineConfig(window=32, stride=16, cache_size=0))
         serial.register("kettle", camal)
 
         n_threads = 8

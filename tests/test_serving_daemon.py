@@ -58,7 +58,7 @@ def _series(n=96, seed=0):
 
 
 def _engine(**kwargs):
-    defaults = dict(window=32, stride=16, backend="im2col")
+    defaults = dict(window=32, stride=16)
     defaults.update(kwargs)
     engine = InferenceEngine(EngineConfig(**defaults))
     engine.register("kettle", _camal(n_models=2))
