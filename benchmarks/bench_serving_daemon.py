@@ -132,9 +132,6 @@ def _run_cell(engine, n_clients: int, coalesce: bool, requests_per_client: int):
     config = ServeConfig(
         port=0,
         coalesce=coalesce,
-        # Flush the instant a full cohort is stacked instead of sitting
-        # out the rest of the linger.
-        max_batch_windows=max(1, n_clients * WINDOWS_PER_REQUEST),
         max_wait_us=MAX_WAIT_US,
         queue_depth=max(64, 4 * n_clients),
     )

@@ -99,8 +99,11 @@ _ENTRIES = (
         name="REPRO_SERVE_MAX_WAIT_US",
         values="int >= 0 microseconds (default: 2000)",
         description=(
-            "How long the coalescer lingers after the first queued request "
-            "to gather more before flushing; 0 disables the linger."
+            "Upper bound on how long the coalescer lingers after the first "
+            "queued request to gather more before flushing. It stops "
+            "lingering as soon as every open connection is awaiting a "
+            "result, since none can then add a request; 0 disables the "
+            "linger."
         ),
         owner="repro.serving.server",
     ),

@@ -771,7 +771,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--max-wait-us",
         type=int,
         default=None,
-        help="coalescer linger after the first queued request (default: 2000)",
+        help="upper bound on the coalescer linger after the first queued "
+        "request (default: 2000)",
     )
     parser.add_argument(
         "--queue-depth",

@@ -9,9 +9,11 @@ update on every request from many threads:
   end-to-end request latencies (enqueue → response ready); p50/p99 are
   exact over that window, not sketch estimates;
 * **coalescing** — a histogram of how many requests each fused forward
-  call merged, plus windows-per-batch totals.  A serving fleet that
-  never coalesces shows a histogram concentrated at 1 — the signal that
-  ``max_wait_us`` is too small for the arrival rate.
+  call merged, plus windows-per-batch totals and why each batch stopped
+  gathering.  A serving fleet that never coalesces shows a histogram
+  concentrated at 1; if its batches mostly flush on ``linger``,
+  ``max_wait_us`` is too small for the arrival rate, and if they mostly
+  flush on ``waiting``, no request could have joined anyway.
 
 Wall-clock time is banned repo-wide (lint rule ``DET002``); uptime and
 latency both come from ``time.monotonic`` / ``time.perf_counter``.
@@ -87,6 +89,7 @@ class ServerMetrics:
         self._batches = 0
         self._batched_requests = 0
         self._coalesce_hist: Dict[int, int] = {}
+        self._flushes = {"full": 0, "waiting": 0, "linger": 0}
         self._isolations = 0
         self._pool_rebuilds = 0
         self.latency = LatencyWindow(latency_capacity)
@@ -111,6 +114,16 @@ class ServerMetrics:
             self._coalesce_hist[n_requests] = (
                 self._coalesce_hist.get(n_requests, 0) + 1
             )
+
+    def record_flush(self, reason: str) -> None:
+        """Why a coalesced batch stopped gathering requests.
+
+        ``full``: it reached ``max_batch_windows``; ``waiting``: every open
+        connection was awaiting a result; ``linger``: ``max_wait_us``
+        expired.
+        """
+        with self._lock:
+            self._flushes[reason] += 1
 
     def record_latency(self, seconds: float) -> None:
         self.latency.add(seconds)
@@ -142,6 +155,7 @@ class ServerMetrics:
         uptime = time.monotonic() - self._started
         with self._lock:
             hist = {str(k): v for k, v in sorted(self._coalesce_hist.items())}
+            flushes = dict(self._flushes)
             batches = self._batches
             batched_requests = self._batched_requests
             windows_total = self._windows_total
@@ -167,6 +181,7 @@ class ServerMetrics:
                 batched_requests / batches if batches else 0.0
             ),
             "hist": hist,
+            "flushes": flushes,
         }
         if extra:
             snap.update(extra)

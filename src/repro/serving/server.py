@@ -19,13 +19,15 @@ Architecture — four kinds of threads:
 * **per-appliance coalescers** — the heart of the daemon.  Each drains
   its bounded queue and stacks windows from many concurrent requests
   into **one** fused forward call, flushing when ``max_batch_windows``
-  accumulate or ``max_wait_us`` elapse after the first request.  This is
-  provably safe: the im2col backend and the grouped ensemble plans are
-  bit-level batch-size invariant, so a request's rows in a stacked batch
-  are identical to the rows of a solo call (asserted end-to-end in
-  ``tests/test_serving_daemon.py``).  Under synchronous clients the
-  cadence is self-organizing — responses release a cohort of clients at
-  once, whose next requests arrive together and merge again;
+  accumulate, when every open connection is awaiting a result (so no
+  request can arrive to join), or ``max_wait_us`` after the first
+  request.  This is provably safe: the im2col backend and the grouped
+  ensemble plans are bit-level batch-size invariant, so a request's rows
+  in a stacked batch are identical to the rows of a solo call (asserted
+  end-to-end in ``tests/test_serving_daemon.py``).  Under synchronous
+  clients the cadence is self-organizing — responses release a cohort of
+  clients at once, whose next requests arrive together, merge again and
+  flush as soon as the last of them is admitted;
 * **bulk jobs** — a ``store`` request fans a :meth:`InferenceEngine.
   score_store` run over household shards in a ``spawn`` process pool
   (each worker reloads the fleet from ``fleet_dir``), returning compact
@@ -50,15 +52,15 @@ variables (see :meth:`ServeConfig.from_env` and ``docs/config.md``).
 from __future__ import annotations
 
 import os
-import queue
 import socket
 import threading
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from hashlib import blake2b
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -93,8 +95,11 @@ class ServeConfig:
     #: are queued for one fused call (requests are never split, so one
     #: oversized request forms its own batch).
     max_batch_windows: int = 256
-    #: Coalescer linger: after the first request of a batch arrives, wait
-    #: at most this long for co-travellers before flushing.
+    #: Coalescer linger bound: after the first request of a batch arrives,
+    #: wait at most this long for co-travellers before flushing.  The
+    #: wait ends early once every open connection is awaiting a result:
+    #: the daemon reads a connection's next request only after answering
+    #: its last one, so nothing more can join the batch.
     max_wait_us: int = 2000
     #: Bounded pending-request queue per appliance; arrivals beyond it
     #: are fast-rejected with ``overloaded`` + ``retry_after_ms``.
@@ -208,49 +213,58 @@ class _PendingScore:
 
 
 class _Coalescer(threading.Thread):
-    """One appliance's scoring loop: drain queue, stack, forward, split."""
+    """One appliance's scoring loop: drain its deque, stack, forward, split."""
 
-    def __init__(
-        self,
-        appliance: str,
-        engine: InferenceEngine,
-        config: ServeConfig,
-        metrics: ServerMetrics,
-    ):
+    def __init__(self, appliance: str, server: "ServingDaemon"):
         super().__init__(name=f"coalescer-{appliance}", daemon=True)
         self.appliance = appliance
-        self.engine = engine
-        self.config = config
-        self.metrics = metrics
-        self.queue: "queue.Queue[_PendingScore]" = queue.Queue(
-            maxsize=config.queue_depth
-        )
-        self._stop_requested = threading.Event()
+        self.server = server
+        self.engine = server.engine
+        self.config = server.config
+        self.metrics = server.metrics
+        #: Admitted requests not yet taken into a batch, guarded by the
+        #: daemon's ``_cv``; admission caps it at ``config.queue_depth``.
+        self.pending: Deque[_PendingScore] = deque()
+        self._stop_requested = False
 
     def run(self) -> None:
-        max_wait_s = self.config.max_wait_us / 1e6
+        config = self.config
+        cv = self.server._cv
         while True:
-            try:
-                item = self.queue.get(timeout=0.05)
-            except queue.Empty:
-                if self._stop_requested.is_set():
-                    return  # drained: stop was requested and the queue is dry
-                continue
-            batch = [item]
-            n_windows = item.windows.shape[0]
-            if self.config.coalesce:
-                deadline = time.perf_counter() + max_wait_s
-                while n_windows < self.config.max_batch_windows:
+            with cv:
+                while not self.pending:
+                    if self._stop_requested:
+                        return  # drained: stop was requested and the deque is dry
+                    cv.wait()
+                item = self.pending.popleft()
+                batch = [item]
+                n_windows = item.windows.shape[0]
+                reason = None
+                deadline = time.perf_counter() + config.max_wait_us / 1e6
+                while config.coalesce and reason is None:
+                    while self.pending and n_windows < config.max_batch_windows:
+                        item = self.pending.popleft()
+                        batch.append(item)
+                        n_windows += item.windows.shape[0]
                     remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    try:
-                        nxt = self.queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
-                    batch.append(nxt)
-                    n_windows += nxt.windows.shape[0]
+                    if n_windows >= config.max_batch_windows:
+                        reason = "full"
+                    elif not self.server._can_send_request():
+                        reason = "waiting"
+                    elif remaining <= 0:
+                        reason = "linger"
+                    else:
+                        # Woken by any admission and any connection exit.
+                        cv.wait(remaining)
+            if reason is not None:
+                self.metrics.record_flush(reason)
             self._serve_batch(batch, n_windows)
+            # Counted down here, where the batch is answered, not as each
+            # handler wakes: handlers that have not woken yet would leave
+            # the count stale, and the next cohort's first request would
+            # see no idle connection and flush alone.
+            with cv:
+                self.server._unanswered -= len(batch)
 
     def _serve_batch(self, batch: List[_PendingScore], n_windows: int) -> None:
         # Per-request deadline: an item that sat in the queue past its
@@ -333,19 +347,19 @@ class _Coalescer(threading.Thread):
 
     # -- shutdown ---------------------------------------------------------
     def stop(self) -> None:
-        """Ask the loop to exit once its queue is drained."""
-        self._stop_requested.set()
+        """Ask the loop to exit once its deque is drained."""
+        with self.server._cv:
+            self._stop_requested = True
+            self.server._cv.notify_all()
 
     def flush_pending(self, code: str, message: str) -> int:
         """Fail whatever is still queued (post-join stragglers); count them."""
-        failed = 0
-        while True:
-            try:
-                item = self.queue.get_nowait()
-            except queue.Empty:
-                return failed
-            item.fail(code, message)
-            failed += 1
+        with self.server._cv:
+            failed = len(self.pending)
+            while self.pending:
+                self.pending.popleft().fail(code, message)
+            self.server._unanswered -= failed
+        return failed
 
 
 def _summarize_household(house_id: str, scores) -> Dict[str, object]:
@@ -445,8 +459,13 @@ class ServingDaemon:
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         self._coalescers: Dict[str, _Coalescer] = {}
-        self._state_lock = threading.Lock()
+        #: The daemon's one state condition.  It guards ``_coalescers``,
+        #: ``_connections``, every coalescer's deque and ``_unanswered``;
+        #: admissions and connection exits notify it.
+        self._cv = threading.Condition()
         self._connections: Dict[socket.socket, threading.Thread] = {}
+        #: Admitted score requests not yet answered by their coalescer.
+        self._unanswered = 0
         self._acceptor: Optional[threading.Thread] = None
         self._draining = False
         self._closed = False
@@ -518,7 +537,7 @@ class ServingDaemon:
         whatever a hard (non-drain or timed-out) stop leaves queued is
         failed with a ``draining`` error rather than abandoned.
         """
-        with self._state_lock:
+        with self._cv:
             if self._closed:
                 return
             self._draining = True
@@ -575,12 +594,16 @@ class ServingDaemon:
             handler = threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
             )
-            with self._state_lock:
+            with self._cv:
                 if self._closed:
                     conn.close()
                     return
+                # Started before it is published: shutdown() joins every
+                # published handler, and joining an unstarted thread
+                # raises.  The handler unregisters under this same lock,
+                # so it cannot do so before the publish.
+                handler.start()
                 self._connections[conn] = handler
-            handler.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
         reader = FrameReader(self.config.max_frame_bytes)
@@ -616,12 +639,23 @@ class ServingDaemon:
                         pending = True
                         first = False
         finally:
-            with self._state_lock:
+            with self._cv:
                 self._connections.pop(conn, None)
+                self._cv.notify_all()  # a lingering coalescer may flush now
             try:
                 conn.close()
             except OSError:  # pragma: no cover - close is best-effort
                 pass
+
+    def _can_send_request(self) -> bool:
+        """Whether some open connection could still send a score request.
+
+        Call with ``_cv`` held.  A handler serves its connection's frames
+        one at a time and blocks until its request is answered, so once
+        every open connection has an unanswered request, no request can
+        arrive before one of them is answered.
+        """
+        return len(self._connections) > self._unanswered
 
     def _send(self, conn: socket.socket, response: Dict[str, object]) -> bool:
         try:
@@ -703,9 +737,13 @@ class ServingDaemon:
         item = _PendingScore(appliance, aggregate, plan, windows)
         item.deadline = t_start + self.config.request_timeout_s
         coalescer = self._coalescer_for(appliance)
-        try:
-            coalescer.queue.put_nowait(item)
-        except queue.Full:
+        with self._cv:
+            admitted = len(coalescer.pending) < self.config.queue_depth
+            if admitted:
+                coalescer.pending.append(item)
+                self._unanswered += 1
+                self._cv.notify_all()
+        if not admitted:
             return self._fail(
                 conn,
                 request,
@@ -766,12 +804,10 @@ class ServingDaemon:
         coalescer = self._coalescers.get(appliance)
         if coalescer is not None:
             return coalescer
-        with self._state_lock:
+        with self._cv:
             coalescer = self._coalescers.get(appliance)
             if coalescer is None:
-                coalescer = _Coalescer(
-                    appliance, self.engine, self.config, self.metrics
-                )
+                coalescer = _Coalescer(appliance, self)
                 self._coalescers[appliance] = coalescer
                 coalescer.start()
         return coalescer
@@ -912,10 +948,11 @@ class ServingDaemon:
 
     # -- metrics / shutdown ops -------------------------------------------
     def _metrics_snapshot(self) -> Dict[str, object]:
-        queues = {
-            name: coalescer.queue.qsize()
-            for name, coalescer in self._coalescers.items()
-        }
+        with self._cv:
+            queues = {
+                name: len(coalescer.pending)
+                for name, coalescer in self._coalescers.items()
+            }
         return self.metrics.snapshot(
             extra={
                 "appliances": sorted(self.engine.pipelines),

@@ -327,6 +327,86 @@ class TestCoalescing:
         assert np.array_equal(result.status, expected.status)
 
 
+class TestFlushRule:
+    """A batch stops gathering when full, when no open connection can add
+    a request, or when ``max_wait_us`` expires -- and in no other case."""
+
+    def test_lone_connection_is_answered_without_the_linger(self):
+        engine = _engine()
+        config = ServeConfig(port=0, max_wait_us=300_000, max_batch_windows=4)
+        with ServingDaemon(engine, config) as daemon:
+            with ServingClient(daemon.host, daemon.port) as client:
+                big = client.score_series("kettle", _series(100, seed=6))
+                small = client.score_series("kettle", _series(48, seed=7))
+                flushes = client.metrics()["coalesce"]["flushes"]
+        assert big.n_windows >= 4 and small.n_windows < 4
+        # The only open connection awaits the small request's result, so
+        # nothing can join its batch and lingering would only add latency.
+        assert small.server_ms < 100
+        assert flushes == {"full": 1, "waiting": 1, "linger": 0}
+
+    def test_connections_scoring_two_appliances_skip_the_linger(self):
+        engine = _engine()
+        engine.register("fridge", _camal(n_models=1))
+        config = ServeConfig(port=0, max_wait_us=300_000)
+        appliances = ("kettle", "fridge")
+        results = [None, None]
+        errors = []
+        with ServingDaemon(engine, config) as daemon:
+            barrier = threading.Barrier(2)
+
+            def worker(i):
+                try:
+                    with ServingClient(daemon.host, daemon.port) as client:
+                        client.ping()  # the daemon now counts this connection
+                        barrier.wait()
+                        results[i] = client.score_series(
+                            appliances[i], _series(100, seed=30 + i)
+                        )
+                except Exception as exc:  # noqa: BLE001 - surfaced below
+                    errors.append((i, exc))
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            with ServingClient(daemon.host, daemon.port) as client:
+                flushes = client.metrics()["coalesce"]["flushes"]
+        assert not errors, errors
+        for result in results:
+            assert result is not None and result.coalesced_requests == 1
+            assert result.server_ms < 100
+        assert flushes == {"full": 0, "waiting": 2, "linger": 0}
+
+    def test_linger_holds_while_another_connection_is_idle(self):
+        engine = _engine()
+        config = ServeConfig(port=0, max_wait_us=300_000)
+        with ServingDaemon(engine, config) as daemon:
+            with ServingClient(daemon.host, daemon.port) as busy, ServingClient(
+                daemon.host, daemon.port
+            ) as idle:
+                assert idle.ping()  # open, and free to send at any moment
+                alone = busy.score_series("kettle", _series(100, seed=8))
+                holder = {}
+                thread = threading.Thread(
+                    target=lambda: holder.update(
+                        first=busy.score_series("kettle", _series(100, seed=9))
+                    )
+                )
+                thread.start()
+                time.sleep(0.05)  # well inside the first request's linger
+                late = idle.score_series("kettle", _series(64, seed=10))
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+                flushes = idle.metrics()["coalesce"]["flushes"]
+        assert alone.coalesced_requests == 1
+        assert alone.server_ms >= 300  # waited out max_wait_us
+        assert holder["first"].coalesced_requests == 2
+        assert late.coalesced_requests == 2
+        assert flushes == {"full": 0, "waiting": 1, "linger": 1}
+
+
 class TestBackpressure:
     def test_full_queue_fast_rejects_with_retry_hint(self):
         engine = InferenceEngine(EngineConfig(window=32, stride=16))
@@ -403,6 +483,33 @@ class TestGracefulDrain:
                 pass  # reset mid-exchange — also a refusal
             finally:
                 probe.close()
+
+    def test_shutdown_while_a_handler_is_being_started(self, monkeypatch):
+        daemon = ServingDaemon(_engine(), ServeConfig(port=0))
+        host, port = daemon.start()
+        start = threading.Thread.start
+        starting = threading.Event()
+
+        def slow_start(thread):
+            # Widen the acceptor's gap between creating a connection
+            # handler and starting it, and shut down inside that gap.
+            if threading.current_thread().name == "serve-acceptor":
+                starting.set()
+                time.sleep(0.3)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", slow_start)
+        sock = socket.create_connection((host, port), timeout=30)
+        try:
+            assert starting.wait(timeout=30)
+            # Must not join the handler before it is started.
+            daemon.shutdown(drain=True)
+        finally:
+            sock.close()
+        waiter = threading.Thread(target=daemon.serve_forever)
+        waiter.start()
+        waiter.join(timeout=5)
+        assert not waiter.is_alive()
 
     def test_shutdown_op_drains_and_unblocks_serve_forever(self):
         engine = _engine()
