@@ -16,9 +16,10 @@ any of them fail loudly instead of silently corrupting a score:
   :class:`~repro.nn.plan.PlanBuilder` trace: every emitted step declares
   the slots it reads/writes, and the tracker raises
   :class:`PlanSanitizeError` *naming the offending step* when a step reads
-  a slot after its release (use-after-release) or reads/writes a slot that
-  was recycled into a new logical value without an intervening write
-  (cross-slot aliasing).  Released slots are poison-filled too;
+  a slot after its release (use-after-release), reads a slot no step has
+  written since it was handed out (read before write), or writes a
+  released slot (cross-slot aliasing).  Released slots are poison-filled
+  too;
 * **read-only store views** — :func:`freeze` flips the writeable flag off
   on windows served by :mod:`repro.data`, so a kernel writing into a store
   view raises ``ValueError`` at the offending statement.
@@ -197,12 +198,11 @@ def pool_tracker() -> Optional[PoolTracker]:
 # Plan-trace instrumentation
 # ----------------------------------------------------------------------
 class _SlotState:
-    __slots__ = ("generation", "free", "writer", "writer_generation", "released_by")
+    __slots__ = ("generation", "free", "writer_generation", "released_by")
 
     def __init__(self) -> None:
         self.generation = 0
         self.free = False
-        self.writer: Optional[str] = None
         self.writer_generation = -1
         self.released_by: Optional[str] = None
 
@@ -218,8 +218,11 @@ class PlanTracker:
     * a step reading a slot that sits in the free list is a
       **use-after-release** (its value may be clobbered by whoever recycles
       the slot);
-    * a step reading a slot that was recycled into a new logical buffer
-      with no write since is the same bug one recycle later;
+    * a step reading a slot that no step has written since the builder
+      handed it out is a **read before write**: a recycled slot still
+      holds some other buffer's bytes (possibly another shape or dtype),
+      and a fresh one holds whatever the allocator left.  Slots the caller
+      fills before every run (``PlanBuilder.input``) count as written;
     * a step writing a slot in the free list is **cross-slot aliasing**
       (the write will corrupt whatever logical buffer recycles the slot).
 
@@ -234,6 +237,7 @@ class PlanTracker:
 
     # -- builder hooks -----------------------------------------------------
     def on_buffer(self, arr: np.ndarray, recycled: bool) -> None:
+        """Register a slot handed out; ``arr`` is the slot, not a view of it."""
         state = self._slots.get(id(arr))
         if state is None:
             state = _SlotState()
@@ -242,21 +246,22 @@ class PlanTracker:
             _STATS["tracked_slots"] += 1
         if recycled:
             state.generation += 1
-            state.writer = None
-            state.writer_generation = -1
             _STATS["generation_bumps"] += 1
         state.free = False
         state.released_by = None
 
-    def on_release(self, arr: np.ndarray, at_step: Optional[str] = None) -> None:
+    def on_input(self, arr: np.ndarray) -> None:
+        """Count ``arr``'s slot as written: the caller fills it before a run."""
         state = self._resolve(arr)
-        if state is None:
-            return
+        if state is not None:
+            state.writer_generation = state.generation
+
+    def on_release(self, arr: np.ndarray, at_step: Optional[str] = None) -> None:
+        """Mark a registered slot free and poison-fill it."""
+        state = self._slots[id(arr)]
         state.free = True
         state.released_by = at_step
-        owner = self._arrays[id(arr)] if id(arr) in self._arrays else arr
-        if owner.flags.writeable:
-            poison_fill(owner)
+        poison_fill(arr)
 
     def on_emit(
         self,
@@ -276,17 +281,12 @@ class PlanTracker:
                     " — use-after-release (the slot may be recycled and "
                     "clobbered before this step runs)"
                 )
-            if state.generation > 0 and state.writer_generation != state.generation:
-                last = (
-                    f"last written by step {state.writer!r} at generation "
-                    f"{state.writer_generation}"
-                    if state.writer is not None
-                    else "never written at this generation"
-                )
+            if state.writer_generation != state.generation:
                 raise PlanSanitizeError(
-                    f"plan step {label!r} reads a slot recycled to generation "
-                    f"{state.generation} ({last}) — stale read through a "
-                    "recycled slot"
+                    f"plan step {label!r} reads a slot no step has written "
+                    f"since it was handed out at generation {state.generation}"
+                    " — read before write"
+                    + (" (stale read through a recycled slot)" if state.generation else "")
                 )
         for arr in writes:
             state = self._resolve(arr)
@@ -299,7 +299,6 @@ class PlanTracker:
                     " — cross-slot aliasing (the write would corrupt "
                     "whatever logical buffer recycles the slot)"
                 )
-            state.writer = label
             state.writer_generation = state.generation
 
     # -- internals ---------------------------------------------------------

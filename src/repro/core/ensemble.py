@@ -31,6 +31,10 @@ from ..training import TrainConfig, evaluate_classifier_loss, predict_proba, tra
 from .cam import cam_from_features, normalize_cam
 from .resnet import DEFAULT_FILTERS, DEFAULT_KERNEL_SET, ResNetConfig, ResNetTSC
 
+#: Windows per member-loop call when a new plan is checked against the
+#: loop: the check's scratch scales with it, and it runs once per trace.
+VALIDATE_WINDOWS = 8
+
 
 @dataclass
 class EnsembleConfig:
@@ -71,8 +75,9 @@ class ResNetEnsemble:
         if not models:
             raise ValueError("ensemble needs at least one model")
         self.models: List[ResNetTSC] = list(models)
-        #: Arena recycling conv scratch/outputs across fused micro-batches;
-        #: created on first use so a freshly loaded ensemble carries none.
+        #: Arena holding the traced plans' slots and recycling the member
+        #: loop's conv scratch/outputs across fused micro-batches; created
+        #: on first use so a freshly loaded ensemble carries none.
         self._pool: Optional[nn.backend.BufferPool] = None
         #: Traced grouped-GEMM plans per (batch, window, backend) signature
         #: (see :mod:`repro.core.grouped`); lazy like the pool.
@@ -143,10 +148,17 @@ class ResNetEnsemble:
             # Validate the trace against the untraced loop once, then keep
             # the plan.  Returning the *plan* output here keeps the first
             # call bit-consistent with every replay (the serving cache's
-            # bit-identity contract).
+            # bit-identity contract).  The loop runs in small chunks through
+            # a private pool, so its scratch is freed with the pool instead
+            # of lingering in the ensemble's, where no replay reads it.
             check_proba = np.zeros(n, dtype=np.float32)
             check_cam = np.zeros((n, length), dtype=np.float32)
-            self._forward_fused_loop(xb, check_proba, check_cam, 0, class_index)
+            with nn.backend.use_pool(nn.backend.BufferPool()):
+                for start in range(0, n, VALIDATE_WINDOWS):
+                    self._forward_fused_loop(
+                        xb[start : start + VALIDATE_WINDOWS],
+                        check_proba, check_cam, start, class_index,
+                    )
             ok = np.allclose(proba, check_proba, atol=1e-4)
             if with_cam:
                 ok = ok and np.allclose(cam, check_cam, atol=1e-4)
@@ -241,8 +253,13 @@ class ResNetEnsemble:
         start: int,
         class_index: int,
     ) -> None:
-        """The untraced per-member micro-batch: fallback and trace validator."""
+        """The untraced per-member micro-batch: fallback and trace validator.
+
+        Steps the active pool after each member, once its probability and
+        CAM are accumulated, so the loop's scratch is one member's worth.
+        """
         inv_members = 1.0 / len(self.models)
+        pool = nn.backend.current_pool()
         batch = Tensor(xb[:, None, :])
         for model in self.models:
             logits, feats = model.forward_with_features(batch)
@@ -252,6 +269,8 @@ class ResNetEnsemble:
             )
             proba[start : start + len(member_proba)] += member_proba * inv_members
             cam[start : start + len(member_cam)] += member_cam * inv_members
+            if pool is not None:
+                pool.step()
 
     def num_parameters(self) -> int:
         return sum(m.num_parameters() for m in self.models)

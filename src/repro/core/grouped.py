@@ -23,14 +23,15 @@ Two fusions happen during the trace:
   serve stale statistics) lands in stacked weight/shift slots, and the
   scale/shift + ReLU run in the GEMM epilogue.
 
-All large buffers are plan-owned ``BufferPool.take_persistent`` slots,
-recycled across layers by the builder's arena (the tracer knows every
-lifetime), so a replay performs **zero** new large allocations — only
-the O(C_out) fold temporaries.  Plans are compiled for the ``im2col``
-kernel only: under ``reference`` (the ground-truth kernel)
-:func:`compile_ensemble_plan` raises :class:`PlanUnsupported`, so the
-ensemble runs its member loop with reference numerics and counts a
-fallback.
+All large buffers are views of plan-owned ``BufferPool.take_persistent``
+slots, which the builder reuses by size across layers (the tracer knows
+every lifetime, so a slot goes to the next buffer that fits once its
+last reader is recorded); a replay performs **zero** new large
+allocations — only the O(C_out) fold temporaries.  Plans are compiled
+for the ``im2col`` kernel only: under ``reference`` (the ground-truth
+kernel) :func:`compile_ensemble_plan` raises :class:`PlanUnsupported`,
+so the ensemble runs its member loop with reference numerics and counts
+a fallback.
 
 Numerics vs the untraced member loop: the GAP (``sum * 1/L``), softmax
 and probability/CAM accumulation mirror the untraced ops bit-for-bit;
@@ -348,7 +349,7 @@ def compile_ensemble_plan(
     pos_of = {orig: pos for pos, orig in enumerate(order)}
 
     builder = PlanBuilder(pool)
-    x_in = builder.buffer((n, length))
+    x_in = builder.input((n, length))
     # Channel-major throughout: C_in = 1 makes the raw (N, L) batch already
     # the (1, C, N, L) layout — no input transpose.
     act = x_in.reshape(1, 1, n, length)

@@ -30,9 +30,10 @@ the fallback path); see ``docs/nn.md``.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -71,9 +72,18 @@ class ExecutionPlan:
     ``inputs`` and ``outputs`` name the pre-resolved buffers the caller
     copies into before :meth:`run` and reads after it.  The caller must
     copy outputs *out* before the next replay — every slot is rewritten.
+
+    The plan owns its slots (the step closures hold views of them) for as
+    long as it lives; no other plan shares one.  ``slot_bytes`` is what
+    those slots hold, ``peak_live_bytes`` the largest total of the plan's
+    buffers live at once during the trace — the floor any slot layout
+    needs.
     """
 
-    __slots__ = ("signature", "steps", "inputs", "outputs", "labels", "replays")
+    __slots__ = (
+        "signature", "steps", "inputs", "outputs", "labels", "replays",
+        "slot_bytes", "peak_live_bytes",
+    )
 
     def __init__(
         self,
@@ -82,6 +92,8 @@ class ExecutionPlan:
         inputs: Dict[str, np.ndarray],
         outputs: Dict[str, np.ndarray],
         labels: Optional[List[str]] = None,
+        slot_bytes: int = 0,
+        peak_live_bytes: int = 0,
     ):
         self.signature = signature
         self.steps: Tuple[Callable[[], None], ...] = tuple(steps)
@@ -93,6 +105,8 @@ class ExecutionPlan:
             labels if labels is not None else (f"step[{i}]" for i in range(len(steps)))
         )
         self.replays = 0
+        self.slot_bytes = slot_bytes
+        self.peak_live_bytes = peak_live_bytes
 
     @hot_path
     def run(self) -> None:
@@ -108,57 +122,111 @@ class ExecutionPlan:
 class PlanBuilder:
     """Collects steps and hands out pre-resolved buffer slots during a trace.
 
-    Slot allocation is arena-style with explicit reuse: :meth:`buffer`
-    serves a slot (recycling a released one of the same shape/dtype when
-    available), :meth:`release` returns a slot whose last consumer has
-    been recorded.  The tracer knows every lifetime exactly — it is
-    writing the schedule — so peak plan memory stays near the live set of
-    the forward instead of one buffer per recorded value.
+    A slot is a flat ``uint8`` array taken once from the pool with
+    ``take_persistent``; :meth:`buffer` hands out a shaped view of one,
+    and :meth:`release` gives the slot back once the buffer's last
+    consumer has been recorded.  Slots are reused by size: a request is
+    served from the smallest released slot with enough bytes, whatever
+    shape or dtype it held before, and takes a new slot only when none
+    fits.  The tracer knows every lifetime exactly — it is writing the
+    schedule — so the plan's slot bytes stay within a small factor of its
+    peak live bytes (both recorded on the :class:`ExecutionPlan`).
 
     Under ``REPRO_NN_SANITIZE=1`` the builder carries a
     :class:`repro.analysis.sanitize.PlanTracker`: slots get generation
     tags, releases poison-fill the slot, and every :meth:`emit` may
-    declare the arrays the step ``reads``/``writes`` so use-after-release
-    and cross-slot aliasing are caught *at trace time* with the offending
-    step's label — before a single replay runs.
+    declare the arrays the step ``reads``/``writes`` so use-after-release,
+    reads before any write and cross-slot aliasing are caught *at trace
+    time* with the offending step's label — before a single replay runs.
     """
 
     def __init__(self, pool: Optional[BufferPool] = None):
         self._pool = pool
         self._steps: List[Callable[[], None]] = []
         self._labels: List[str] = []
-        self._free: Dict[Tuple[Tuple[int, ...], str], List[np.ndarray]] = {}
+        #: Released slots, reusable by any later request that fits.
+        self._free: List[np.ndarray] = []
+        #: id of each array :meth:`buffer` handed out -> (that array, its
+        #: slot).  Holding the array keeps its id from being reused by an
+        #: unrelated array once the caller drops it.
+        self._handed: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        #: ids of handed-out arrays not yet released.
+        self._live: Set[int] = set()
+        self._live_bytes = 0
+        self._peak_live_bytes = 0
+        self._slot_bytes = 0
         self._tracker = sanitize.plan_tracker()
 
     def buffer(self, shape, dtype=np.float32) -> np.ndarray:
-        """A plan-owned slot of ``shape``/``dtype`` (recycled when possible)."""
-        key = (tuple(int(s) for s in shape), np.dtype(dtype).str)
-        free = self._free.get(key)
-        if free:
-            arr = free.pop()
-            if self._tracker is not None:
-                self._tracker.on_buffer(arr, recycled=True)
-            return arr
-        if self._pool is not None:
-            arr = self._pool.take_persistent(key[0], dtype)
-        else:
-            # repro: waive[HOT001] pool-less trace-time slot acquisition — this IS the allocator the ban steers hot code toward
-            arr = np.empty(key[0], dtype=dtype)
-        if self._tracker is not None:
-            self._tracker.on_buffer(arr, recycled=False)
+        """A plan-owned ``shape``/``dtype`` view of a (possibly reused) slot."""
+        shape = tuple(int(s) for s in shape)
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        slot = self._slot(nbytes)
+        arr = slot[:nbytes].view(dtype).reshape(shape)
+        self._handed[id(arr)] = (arr, slot)
+        self._live.add(id(arr))
+        self._live_bytes += nbytes
+        self._peak_live_bytes = max(self._peak_live_bytes, self._live_bytes)
         return arr
 
-    def release(self, arr: np.ndarray) -> None:
-        """Mark a slot reusable for later :meth:`buffer` requests.
+    def input(self, shape, dtype=np.float32) -> np.ndarray:
+        """A :meth:`buffer` the caller fills before every :meth:`ExecutionPlan.run`.
 
-        Only whole slots obtained from :meth:`buffer` may be released —
-        releasing a view would alias two live recorded values.
+        The sanitizer counts it as written, so steps may read it before
+        any recorded step writes it.
         """
-        key = (tuple(arr.shape), arr.dtype.str)
-        self._free.setdefault(key, []).append(arr)
+        arr = self.buffer(shape, dtype)
+        if self._tracker is not None:
+            self._tracker.on_input(arr)
+        return arr
+
+    def _slot(self, nbytes: int) -> np.ndarray:
+        """The smallest released slot of at least ``nbytes``, else a new one."""
+        best = -1
+        for i, slot in enumerate(self._free):
+            if slot.nbytes >= nbytes and (
+                best < 0 or slot.nbytes <= self._free[best].nbytes
+            ):
+                best = i
+        if best >= 0:
+            slot = self._free.pop(best)
+            if self._tracker is not None:
+                self._tracker.on_buffer(slot, recycled=True)
+            return slot
+        if self._pool is not None:
+            slot = self._pool.take_persistent((nbytes,), np.uint8)
+        else:
+            # repro: waive[HOT001] pool-less trace-time slot acquisition — this IS the allocator the ban steers hot code toward
+            slot = np.empty(nbytes, dtype=np.uint8)
+        self._slot_bytes += nbytes
+        if self._tracker is not None:
+            self._tracker.on_buffer(slot, recycled=False)
+        return slot
+
+    def release(self, arr: np.ndarray) -> None:
+        """Give the slot behind ``arr`` back for later :meth:`buffer` requests.
+
+        ``arr`` must be an array :meth:`buffer` returned, released once:
+        a view of it, an array this builder did not hand out, or a second
+        release raises ``ValueError`` — each would put a live slot's
+        memory back in circulation.
+        """
+        entry = self._handed.get(id(arr))
+        if entry is None:
+            raise ValueError(
+                "release() takes an array buffer() returned, not a view of "
+                "one or an array this builder did not hand out"
+            )
+        if id(arr) not in self._live:
+            raise ValueError("buffer released twice")
+        self._live.discard(id(arr))
+        self._live_bytes -= arr.nbytes
+        slot = entry[1]
+        self._free.append(slot)
         if self._tracker is not None:
             last = self._labels[-1] if self._labels else None
-            self._tracker.on_release(arr, at_step=last)
+            self._tracker.on_release(slot, at_step=last)
 
     def emit(
         self,
@@ -188,7 +256,10 @@ class PlanBuilder:
         inputs: Dict[str, np.ndarray],
         outputs: Dict[str, np.ndarray],
     ) -> ExecutionPlan:
-        return ExecutionPlan(signature, self._steps, inputs, outputs, self._labels)
+        return ExecutionPlan(
+            signature, self._steps, inputs, outputs, self._labels,
+            slot_bytes=self._slot_bytes, peak_live_bytes=self._peak_live_bytes,
+        )
 
 
 class PlanCache:
@@ -197,8 +268,9 @@ class PlanCache:
     ``traces`` counts plan recordings, ``replays`` counts plan executions,
     ``fallbacks`` counts calls that ran the untraced path (plan layer
     disabled, unsupported structure, or a failed trace-time validation).
-    The serving engine surfaces these via ``plan_stats()`` next to
-    ``buffer_pool_stats()``.
+    ``slot_bytes`` and ``peak_live_bytes`` sum the cached plans' own
+    figures (see :class:`ExecutionPlan`).  The serving engine surfaces
+    these via ``plan_stats()`` next to ``buffer_pool_stats()``.
     """
 
     def __init__(self, max_plans: int = 16):
@@ -244,4 +316,6 @@ class PlanCache:
             "traces": self.traces,
             "replays": self.replays,
             "fallbacks": self.fallbacks,
+            "slot_bytes": sum(p.slot_bytes for p in self._plans.values()),
+            "peak_live_bytes": sum(p.peak_live_bytes for p in self._plans.values()),
         }

@@ -631,20 +631,37 @@ class TestSanitizer:
     def test_plan_stale_read_through_recycled_slot(self):
         """Reading a recycled slot before any step rewrote it is the same
         use-after-release one recycle later — only the generation tag can
-        see it (the array object is identical)."""
+        see it (the new buffer is a view of the same slot's memory)."""
         with sanitize.force(True):
             builder = PlanBuilder()
             a = builder.buffer((8,))
             builder.emit(lambda: None, label="w1", writes=(a,))
             builder.release(a)
             b = builder.buffer((8,))  # recycles the same slot: generation 1
-            assert b is a
+            assert np.shares_memory(a, b)
             with pytest.raises(sanitize.PlanSanitizeError) as exc:
                 builder.emit(lambda: None, label="stale-reader", reads=(b,))
             assert "stale-reader" in str(exc.value)
             # After a write at the new generation the read is legal.
             builder.emit(lambda: None, label="w2", writes=(b,))
             builder.emit(lambda: None, label="reader", reads=(b,))
+
+    def test_plan_read_of_never_written_fresh_slot(self):
+        """A fresh slot holds whatever its memory held before, so reading it
+        before any step wrote it is flagged like a stale recycled read."""
+        with sanitize.force(True):
+            builder = PlanBuilder()
+            slot = builder.buffer((8,))
+            with pytest.raises(sanitize.PlanSanitizeError) as exc:
+                builder.emit(lambda: None, label="fresh-reader", reads=(slot,))
+        assert "fresh-reader" in str(exc.value)
+        assert "read before write" in str(exc.value)
+
+    def test_plan_input_slot_counts_as_written(self):
+        with sanitize.force(True):
+            builder = PlanBuilder()
+            x = builder.input((8,))
+            builder.emit(lambda: None, label="reads-input", reads=(x[:4],))
 
     def test_plan_write_to_released_slot_is_aliasing(self):
         with sanitize.force(True):

@@ -349,6 +349,75 @@ class TestEngineBackendChoice:
         assert engine.plan_stats()["kettle"]["replays"] > replays_before
 
 
+class TestPlanMemory:
+    """Plan slots: reuse by size, strict release, and the memory figures."""
+
+    def test_slots_reused_by_size_across_shapes_and_dtypes(self):
+        from repro.nn.plan import PlanBuilder
+
+        builder = PlanBuilder()
+        big = builder.buffer((4, 16))  # 256 bytes
+        small = builder.buffer((8,))  # 32 bytes
+        builder.release(big)
+        builder.release(small)
+        # The smallest released slot that fits serves the request,
+        # whatever shape or dtype it held before.
+        flags = builder.buffer((24,), dtype=bool)
+        assert np.shares_memory(flags, small)
+        wide = builder.buffer((2, 20))
+        assert np.shares_memory(wide, big)
+        fresh = builder.buffer((8,))  # nothing released fits: a new slot
+        assert not np.shares_memory(fresh, big)
+        assert not np.shares_memory(fresh, small)
+        plan = builder.build("sig", {}, {})
+        assert plan.slot_bytes == 256 + 32 + 32
+        assert plan.peak_live_bytes == 256 + 32
+
+    def test_release_rejects_views_and_foreign_arrays(self):
+        from repro.nn.plan import PlanBuilder
+
+        builder = PlanBuilder()
+        slot = builder.buffer((4, 8))
+        with pytest.raises(ValueError):
+            builder.release(slot[1:])  # a view would free a live slot
+        with pytest.raises(ValueError):
+            builder.release(np.zeros((4, 8), dtype=np.float32))
+        builder.release(slot)
+
+    def test_release_rejects_a_second_release(self):
+        from repro.nn.plan import PlanBuilder
+
+        builder = PlanBuilder()
+        slot = builder.buffer((8,))
+        builder.release(slot)
+        with pytest.raises(ValueError):
+            builder.release(slot)
+        # The slot went back once, so two live buffers never share it.
+        a, b = builder.buffer((8,)), builder.buffer((8,))
+        assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize(
+        "preset,n",
+        [("paper", 16), ("compact", 4), ("compact", 64)],
+    )
+    def test_slot_bytes_within_twice_peak_live(self, preset, n):
+        from repro.core import ResNetConfig, ResNetTSC
+        from repro.core.grouped import compile_ensemble_plan
+        from repro.core.resnet import DEFAULT_FILTERS, DEFAULT_KERNEL_SET
+
+        kernels, filters = {
+            "paper": (DEFAULT_KERNEL_SET, DEFAULT_FILTERS),
+            "compact": ((5, 7, 9), (8, 16, 16)),
+        }[preset]
+        models = [
+            ResNetTSC(ResNetConfig(kernel_size=k, filters=filters, seed=i)).eval()
+            for i, k in enumerate(kernels)
+        ]
+        plan = compile_ensemble_plan(models, None, n, 128)
+        assert plan.peak_live_bytes > 0
+        assert plan.slot_bytes <= 2 * plan.peak_live_bytes
+
+
 class TestUpsampleSegmentSum:
     """Oracle test: the bincount backward equals the old ``np.add.at`` path."""
 

@@ -274,6 +274,24 @@ class TestDaemonScoring:
         assert "kettle" in snapshot["buffer_pool"]
         assert snapshot["draining"] is False
 
+    def test_warm_ladder_pool_holds_only_plan_slots(self):
+        """After warm-up and the bucket ladder each pool holds exactly its
+        cached plans' slots: trace-time validation leaves no scratch."""
+        engine = _engine(batch_size=16)
+        engine.register("dishwasher", _camal(n_models=3))
+        engine.warmup()
+        config = ServeConfig(port=0, max_batch_windows=8)  # ladder 1, 2, 4, 8
+        with ServingDaemon(engine, config) as daemon:
+            with ServingClient(daemon.host, daemon.port) as client:
+                snapshot = client.metrics()
+        for appliance in ("kettle", "dishwasher"):
+            pool = snapshot["buffer_pool"][appliance]
+            plan = snapshot["plan"][appliance]
+            assert plan["plans"] == 5
+            assert pool["free_buffers"] == 0
+            assert pool["bytes_allocated"] == plan["slot_bytes"]
+            assert plan["peak_live_bytes"] <= plan["slot_bytes"]
+
 
 class TestCoalescing:
     def test_concurrent_requests_coalesce_and_stay_bit_identical(self):
