@@ -1,23 +1,26 @@
-"""im2col conv1d kernel: K slice-copies into a C-contiguous column buffer,
-then one batched sgemm per direction.
+"""im2col conv1d kernel: K slice-copies into a channel-major column buffer,
+then one sgemm per sample forward and one sgemm per direction backward.
 
 The reference kernel's ``np.tensordot`` over a strided
 ``sliding_window_view`` gathers the ``(N, C_in, L_out, K)`` copy with an
 inner loop of only ``K`` contiguous elements.  This kernel builds the same
 columns with ``K`` *slice* copies (inner runs of ``L_out`` contiguous
 elements), so the materialization is a handful of fat memcpys instead of a
-gather, and the contraction becomes plain GEMMs:
+gather, and the contraction becomes plain GEMMs.
 
-* forward:   ``out[n] = W2 @ cols[n]`` with ``W2 = weight.reshape(C_out,
-  C_in*K)`` and ``cols[n]`` the ``(C_in*K, L_out)`` column block —
-  ``np.matmul`` broadcasts the weight over the batch and writes straight
-  into the (possibly pooled) output buffer, so no output transpose is
-  needed;
-* dW: one ``np.tensordot`` contraction of grad against the saved columns;
-* dX: ``d_cols[n] = W2.T @ grad[n]`` followed by a K-slice col2im
+The column buffer is channel-major, ``cols[c*K + j, n*L_out + s] =
+x_pad[n, c, s*stride + j]`` — shape ``(C_in*K, N*L_out)`` — on every call:
+
+* forward:   ``out[n] = W2 @ cols[:, n*L_out:(n+1)*L_out]`` with ``W2 =
+  weight.reshape(C_out, C_in*K)``.  ``np.matmul`` reads each sample's
+  column block in place (row stride ``N*L_out``) and writes straight into
+  the ``(N, C_out, L_out)`` output, so neither operand is copied;
+* dW: ``G @ cols.T``, one GEMM, where ``G`` is ``grad`` regrouped as
+  ``(C_out, N*L_out)`` (one small copy; the columns are never copied);
+* dX: ``d_cols = W2.T @ G``, one GEMM, followed by a K-slice col2im
   scatter-add (the exact adjoint of the forward copy loop).
 
-Each sample's GEMM has shape ``(C_out, C_in*K) @ (C_in*K, L_out)``
+Each sample's forward GEMM has shape ``(C_out, C_in*K) @ (C_in*K, L_out)``
 regardless of the batch size, which keeps the kernel **bit-level
 batch-size invariant** — scoring a window alone or inside any batch yields
 identical float32 bits.  The serving cache's bit-identity contract and the
@@ -25,7 +28,9 @@ parallel-training equivalence tests rely on this property.
 
 In inference mode (``keep_ctx=False``) both the column scratch and the
 output come from the active :class:`~repro.nn.backend.pool.BufferPool`,
-so steady-state scoring re-allocates nothing.
+so steady-state scoring re-allocates nothing.  Grad-mode buffers are kept
+by the autograd graph past the pool's next step, so they come from
+:func:`_grad_buffer` instead.
 """
 
 from __future__ import annotations
@@ -45,38 +50,60 @@ NAME = "im2col"
 
 @dataclass
 class Ctx:
-    """Saved forward state for the backward contractions."""
+    """Saved forward state for the backward contractions.
 
-    cols: np.ndarray  # (N, C_in*K, L_out) C-contiguous column buffer
+    ``cols`` is the forward's own channel-major column buffer (never a
+    pool buffer), kept so :func:`grad_weight` can contract it in place as
+    the transposed right operand of one GEMM.
+    """
+
+    cols: np.ndarray  # (C_in*K, N*L_out)
     weight: np.ndarray  # (C_out, C_in, K)
     stride: int
     l_pad: int
 
 
-def _fill_cols(cols4: np.ndarray, x_pad: np.ndarray, stride: int) -> None:
-    """K slice-copies: cols4[n, c, j, s] = x_pad[n, c, s*stride + j]."""
-    k, l_out = cols4.shape[2], cols4.shape[3]
+def _grad_buffer(shape, dtype=DTYPE) -> np.ndarray:
+    """A fresh buffer for the grad path: saved columns, outputs and
+    gradients outlive the pool's next step, so they must not be pooled."""
+    # repro: waive[HOT001] grad path only; the inference path takes `scratch`
+    return np.empty(shape, dtype)
+
+
+def _conv(
+    x_pad: np.ndarray, weight: np.ndarray, stride: int, alloc
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Gather the channel-major columns, then one GEMM per sample.
+
+    Returns ``(out, cols)``; ``alloc`` (``scratch`` or :func:`_grad_buffer`)
+    supplies both buffers.
+    """
+    n, c_in, l_pad = x_pad.shape
+    c_out, _, kernel = weight.shape
+    l_out = (l_pad - kernel) // stride + 1
+    cols4 = alloc((c_in, kernel, n, l_out), x_pad.dtype)
     span = (l_out - 1) * stride + 1
-    for j in range(k):
-        np.copyto(cols4[:, :, j, :], x_pad[:, :, j : j + span : stride])
+    for j in range(kernel):  # cols4[c, j, n, s] = x_pad[n, c, s*stride + j]
+        np.copyto(cols4[:, j], x_pad[:, :, j : j + span : stride].transpose(1, 0, 2))
+    cols = cols4.reshape(c_in * kernel, n * l_out)
+    out = alloc((n, c_out, l_out), x_pad.dtype)
+    per_sample = cols4.reshape(c_in * kernel, n, l_out).transpose(1, 0, 2)
+    if c_out == 1:
+        # A one-row weight turns np.matmul into gemv, whose summation order
+        # follows the columns' row stride (N*L_out); sample-major copies keep
+        # the bits independent of the batch size.
+        sample_major = alloc((n, c_in * kernel, l_out), x_pad.dtype)
+        np.copyto(sample_major, per_sample)
+        per_sample = sample_major
+    np.matmul(weight.reshape(c_out, c_in * kernel), per_sample, out=out)
+    return out, cols
 
 
 def forward(
     x_pad: np.ndarray, weight: np.ndarray, stride: int, keep_ctx: bool
 ) -> Tuple[np.ndarray, Optional[Ctx]]:
-    n, c_in, l_pad = x_pad.shape
-    c_out, _, kernel = weight.shape
-    l_out = (l_pad - kernel) // stride + 1
-    # Training keeps the columns alive in the graph, so they must not come
-    # from the (recycling) pool; inference scratch may.
-    # repro: waive[HOT001] training-only branch (keep_ctx); the inference path takes `scratch`
-    alloc = scratch if not keep_ctx else (lambda s, d=DTYPE: np.empty(s, d))
-    cols4 = alloc((n, c_in, kernel, l_out), x_pad.dtype)
-    _fill_cols(cols4, x_pad, stride)
-    cols = cols4.reshape(n, c_in * kernel, l_out)
-    out = alloc((n, c_out, l_out), x_pad.dtype)
-    np.matmul(weight.reshape(c_out, c_in * kernel), cols, out=out)
-    ctx = Ctx(cols, weight, stride, l_pad) if keep_ctx else None
+    out, cols = _conv(x_pad, weight, stride, _grad_buffer if keep_ctx else scratch)
+    ctx = Ctx(cols, weight, stride, x_pad.shape[2]) if keep_ctx else None
     return out, ctx
 
 
@@ -95,14 +122,7 @@ def forward_fused(
     (pooled) output buffer instead of paying an extra pass per stage.  No
     backward context exists on this path by construction.
     """
-    n, c_in, l_pad = x_pad.shape
-    c_out, _, kernel = weight.shape
-    l_out = (l_pad - kernel) // stride + 1
-    cols4 = scratch((n, c_in, kernel, l_out), x_pad.dtype)
-    _fill_cols(cols4, x_pad, stride)
-    cols = cols4.reshape(n, c_in * kernel, l_out)
-    out = scratch((n, c_out, l_out), x_pad.dtype)
-    np.matmul(weight.reshape(c_out, c_in * kernel), cols, out=out)
+    out, _ = _conv(x_pad, weight, stride, scratch)
     counters.record("fused_conv_calls")
     counters.record("fused_conv_gemms")
     if shift is not None:
@@ -112,22 +132,28 @@ def forward_fused(
     return out
 
 
+def _grad_matrix(grad: np.ndarray) -> np.ndarray:
+    """``grad`` ``(N, C_out, L_out)`` regrouped as ``(C_out, N*L_out)``, the columns' order."""
+    n, c_out, l_out = grad.shape
+    g = _grad_buffer((c_out, n, l_out))
+    np.copyto(g, grad.transpose(1, 0, 2))
+    return g.reshape(c_out, n * l_out)
+
+
 def grad_weight(ctx: Ctx, grad: np.ndarray) -> np.ndarray:
-    c_out, c_in, kernel = ctx.weight.shape
-    # dW2[o, ck] = sum_{n, s} grad[n, o, s] * cols[n, ck, s]
-    d_w2 = np.tensordot(grad, ctx.cols, axes=([0, 2], [0, 2]))
-    return d_w2.reshape(c_out, c_in, kernel)
+    # dW2[o, ck] = sum_{n, s} grad[n, o, s] * cols[ck, n*L_out + s]
+    d_w2 = _grad_matrix(grad) @ ctx.cols.T
+    return d_w2.reshape(ctx.weight.shape)
 
 
 def grad_input(ctx: Ctx, grad: np.ndarray) -> np.ndarray:
     n, _, l_out = grad.shape
     c_out, c_in, kernel = ctx.weight.shape
     w2 = ctx.weight.reshape(c_out, c_in * kernel)
-    d_cols = np.matmul(w2.T, grad)  # (N, C_in*K, L_out)
-    d4 = d_cols.reshape(n, c_in, kernel, l_out)
-    # repro: waive[HOT001] backward pass — training only, never on the serving path
-    d_xp = np.zeros((n, c_in, ctx.l_pad), dtype=DTYPE)
+    d_cols = (w2.T @ _grad_matrix(grad)).reshape(c_in, kernel, n, l_out)
+    d_xp = _grad_buffer((n, c_in, ctx.l_pad))
+    d_xp.fill(0.0)
     span = (l_out - 1) * ctx.stride + 1
     for j in range(kernel):  # adjoint of the forward copy loop
-        d_xp[:, :, j : j + span : ctx.stride] += d4[:, :, j, :]
+        d_xp[:, :, j : j + span : ctx.stride] += d_cols[:, j].transpose(1, 0, 2)
     return d_xp

@@ -232,6 +232,17 @@ def batch_norm(
     scale/shift (``scale = gamma * inv_std``, ``shift = beta - mean *
     scale``): a single fused multiply-add over the input instead of the
     four-pass normalize-then-affine, with no saved ``x_hat``.
+
+    Training mode makes seven passes over the activations each way:
+
+    * forward: the mean, one centring subtraction, the squares and their
+      mean (the variance, by the same ops ``np.var`` runs, so it is
+      bit-identical to it), ``x_hat`` scaled in place over the centred
+      copy, and the affine output written over the squares;
+    * backward: ``Σg`` and ``Σ(g·x_hat)`` (three passes; they are also
+      beta's and gamma's gradients), then the closed form
+      ``d_x = gamma·inv_std·(g − Σg/n − x_hat·Σ(g·x_hat)/n)`` in four
+      passes over the ``g·x_hat`` buffer.
     """
     if x.ndim == 3:
         axes: Tuple[int, ...] = (0, 2)
@@ -241,11 +252,13 @@ def batch_norm(
         view = (1, -1)
     else:
         raise ValueError(f"batch_norm expects 2-D or 3-D input, got {x.ndim}-D")
+    count = x.data.size // x.data.shape[1]
 
     if training:
         mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        count = x.data.size // x.data.shape[1]
+        centred = x.data - mean.reshape(view)
+        squares = centred * centred
+        var = squares.mean(axis=axes)
         unbiased = var * count / max(count - 1, 1)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
@@ -265,28 +278,35 @@ def batch_norm(
         out += shift.reshape(view)
         return Tensor(out)
 
-    x_hat = (x.data - mean.reshape(view)) * inv_std.reshape(view)
-    out = gamma.data.reshape(view) * x_hat + beta.data.reshape(view)
+    g = gamma.data.reshape(view)
+    if training:
+        x_hat = centred
+        x_hat *= inv_std.reshape(view)
+        out = np.multiply(x_hat, g, out=squares)
+    else:
+        x_hat = (x.data - mean.reshape(view)) * inv_std.reshape(view)
+        out = x_hat * g
+    out += beta.data.reshape(view)
 
     def backward(grad: np.ndarray) -> None:
+        d_x = grad * x_hat  # g·x_hat until its sum is taken, then d_x in place
+        sum_g, sum_gx = grad.sum(axis=axes), d_x.sum(axis=axes)
         if beta.requires_grad:
-            beta._accumulate(grad.sum(axis=axes))
+            beta._accumulate(sum_g)
         if gamma.requires_grad:
-            gamma._accumulate((grad * x_hat).sum(axis=axes))
+            gamma._accumulate(sum_gx)
         if not x.requires_grad:
             return
-        g = gamma.data.reshape(view)
-        if training:
-            d_xhat = grad * g
-            term1 = d_xhat
-            term2 = d_xhat.mean(axis=axes, keepdims=True)
-            term3 = x_hat * (d_xhat * x_hat).mean(axis=axes, keepdims=True)
-            d_x = (term1 - term2 - term3) * inv_std.reshape(view)
-        else:
-            d_x = grad * g * inv_std.reshape(view)
-        x._accumulate(d_x.astype(DEFAULT_DTYPE))
+        if not training:
+            x._accumulate(grad * g * inv_std.reshape(view))
+            return
+        np.multiply(x_hat, (sum_gx / count).reshape(view), out=d_x)
+        np.subtract(grad, d_x, out=d_x)
+        d_x -= (sum_g / count).reshape(view)
+        d_x *= (gamma.data * inv_std).reshape(view)
+        x._accumulate(d_x)
 
-    return Tensor._make_from(out.astype(DEFAULT_DTYPE), (x, gamma, beta), backward, "batch_norm")
+    return Tensor._make_from(out, (x, gamma, beta), backward, "batch_norm")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -372,10 +392,35 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
 # ----------------------------------------------------------------------
 # Fused losses
 # ----------------------------------------------------------------------
+def class_targets(targets, n: int, n_classes: Optional[int] = None) -> np.ndarray:
+    """``targets`` as ``(n,)`` int64 class ids, or ``ValueError``.
+
+    Entries must be whole numbers in ``[0, n_classes)`` (only ``>= 0`` when
+    ``n_classes`` is ``None``).  Any numeric dtype is accepted, so the
+    0.0/1.0 float weak labels of :class:`repro.data.StreamingWindows` stay
+    valid, but a fractional, negative or out-of-range id raises instead of
+    being truncated or wrapped to another class.
+    """
+    t = np.asarray(targets)
+    if t.shape != (n,):
+        raise ValueError(f"class targets must have shape ({n},), got {t.shape}")
+    if t.dtype.kind not in "biuf":
+        raise ValueError(f"class targets must be numeric, got dtype {t.dtype}")
+    if t.dtype.kind == "f" and not np.all(np.mod(t, 1) == 0):
+        raise ValueError("class targets must be whole numbers")
+    if n and (t.min() < 0 or (n_classes is not None and t.max() >= n_classes)):
+        allowed = ">= 0" if n_classes is None else f"in [0, {n_classes})"
+        raise ValueError(f"class targets must be {allowed}, got [{t.min()}, {t.max()}]")
+    return t.astype(np.int64)
+
+
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean softmax cross-entropy; ``targets`` are integer class ids (N,)."""
-    targets = np.asarray(targets, dtype=np.int64)
+    """Mean softmax cross-entropy; ``targets`` are class ids (N,).
+
+    Raises ``ValueError`` for targets :func:`class_targets` rejects.
+    """
     n = logits.shape[0]
+    targets = class_targets(targets, n, logits.shape[1])
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z

@@ -276,11 +276,15 @@ def train_classifier(
 
     ``model`` maps ``(N, 1, L)`` inputs to ``(N, 2)`` logits; inputs are the
     scaled aggregate windows ``(N, L)`` and labels the weak window labels.
+    Labels that are not whole, non-negative class ids of shape ``(N,)``
+    raise ``ValueError`` before training starts; an id past the model's
+    last class raises at the first batch that holds it (see
+    :func:`repro.nn.functional.class_targets`).
     """
     x_train = np.asarray(x_train, dtype=np.float32)
-    y_train = np.asarray(y_train, dtype=np.int64)
+    y_train = F.class_targets(y_train, len(x_train))
     x_val = np.asarray(x_val, dtype=np.float32)
-    y_val = np.asarray(y_val, dtype=np.int64)
+    y_val = F.class_targets(y_val, len(x_val))
 
     def loss_on_batch(idx: np.ndarray) -> Tensor:
         batch = Tensor(x_train[idx][:, None, :])
@@ -297,7 +301,7 @@ def evaluate_classifier_loss(
 ) -> float:
     """Mean cross-entropy of a classifier over a dataset (no grad)."""
     x = np.asarray(x, dtype=np.float32)
-    y = np.asarray(y, dtype=np.int64)
+    y = F.class_targets(y, len(x))
     if len(x) == 0:
         return float("inf")
     total, count = 0.0, 0

@@ -558,7 +558,7 @@ class TestRepoTree:
         # Every waiver in the tree carries a justification (else WVR001
         # would have fired); keep the count pinned so new waivers are a
         # conscious review decision, not drive-by suppression.
-        assert len(report.waived) == 5, report.format(verbose=True)
+        assert len(report.waived) == 4, report.format(verbose=True)
 
     def test_cli_lint_exit_codes(self, tmp_path):
         from repro.cli import main

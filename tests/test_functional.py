@@ -214,6 +214,29 @@ class TestLosses:
         loss = F.cross_entropy(logits, np.array([0, 1, 2, 0]))
         assert loss.item() == pytest.approx(np.log(3), abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            np.array([0, -1]),  # NumPy indexing would read the last class
+            np.array([0, 2]),  # past the last class
+            np.array([0.0, 0.6]),  # an int cast would truncate it to class 0
+            np.array([[0], [1]]),  # not (N,)
+            np.array([0, 1, 1]),  # one target too many
+            np.array([0.0, np.nan]),
+            np.array(["0", "1"]),
+        ],
+    )
+    def test_cross_entropy_rejects_bad_targets(self, targets):
+        logits = Tensor(np.zeros((2, 2), dtype=np.float32), requires_grad=True)
+        with pytest.raises(ValueError, match="class targets"):
+            F.cross_entropy(logits, targets)
+
+    def test_cross_entropy_accepts_float_weak_labels(self):
+        logits = Tensor(np.array([[2.0, -1.0], [0.5, 1.5]], dtype=np.float32))
+        as_float = F.cross_entropy(logits, np.array([0.0, 1.0], dtype=np.float32))
+        as_int = F.cross_entropy(logits, np.array([0, 1]))
+        assert as_float.item() == as_int.item()
+
     def test_bce_matches_manual(self):
         z = np.array([[0.3, -1.2]], dtype=np.float32)
         t = np.array([[1.0, 0.0]], dtype=np.float32)

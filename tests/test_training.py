@@ -70,6 +70,40 @@ class TestClassifierLoop:
         assert len(result.train_losses) == len(result.val_losses) == len(result.epoch_times)
         assert result.wall_time_seconds > 0
 
+    @pytest.mark.parametrize(
+        "bad",
+        [-1.0, 0.6, 1.7],
+        ids=["negative", "fractional-low", "fractional-high"],
+    )
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_bad_labels_raise_before_training(self, bad, split):
+        x, _, y = _spike_windows(n=8, w=16)
+        y_bad = y.copy()
+        y_bad[3] = bad
+        y_train, y_val = (y_bad, y) if split == "train" else (y, y_bad)
+        model = ResNetTSC(ResNetConfig(kernel_size=3, filters=(4, 4, 4), seed=0))
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(ValueError, match="class targets"):
+            train_classifier(model, x, y_train, x, y_val, TrainConfig(epochs=1, patience=0))
+        assert all(np.array_equal(a, p.data) for a, p in zip(before, model.parameters()))
+
+    def test_label_past_the_last_class_raises(self):
+        x, _, y = _spike_windows(n=8, w=16)
+        y[0] = 2.0  # the model has two classes
+        model = ResNetTSC(ResNetConfig(kernel_size=3, filters=(4, 4, 4), seed=0))
+        with pytest.raises(ValueError, match="class targets"):
+            train_classifier(model, x, y, x, y, TrainConfig(epochs=1, patience=0))
+        with pytest.raises(ValueError, match="class targets"):
+            evaluate_classifier_loss(model, x, y)
+
+    def test_label_shape_must_match_windows(self):
+        x, _, y = _spike_windows(n=8, w=16)
+        model = ResNetTSC(ResNetConfig(kernel_size=3, filters=(4, 4, 4), seed=0))
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_classifier_loss(model, x, y[:-1])
+        with pytest.raises(ValueError, match="shape"):
+            train_classifier(model, x, y[:, None], x, y, TrainConfig(epochs=1, patience=0))
+
     def test_empty_val_set_inf_loss(self):
         model = ResNetTSC(ResNetConfig(kernel_size=3, filters=(4, 4, 4)))
         loss = evaluate_classifier_loss(model, np.zeros((0, 16)), np.zeros(0))
