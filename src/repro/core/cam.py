@@ -25,8 +25,18 @@ def cam_from_features(feats: np.ndarray, class_weights: np.ndarray) -> np.ndarra
     single-forward path (:meth:`repro.core.ensemble.ResNetEnsemble.forward_fused`):
     once the last conv feature maps exist, the CAM is just a contraction
     with the classification head's weights for the target class.
+
+    The contraction is a two-row GEMM (the class row twice) over the
+    ``N*L`` window columns: a one-row product runs as gemv, whose summation
+    order depends on the batch size.  The traced plan contracts the same
+    way, so a window's CAM bits match it and do not depend on its batch.
     """
-    return np.tensordot(class_weights, feats, axes=([0], [1])).astype(np.float32)
+    feats = np.asarray(feats, dtype=np.float32)
+    n, channels, length = feats.shape
+    rows = np.empty((2, channels), dtype=np.float32)
+    rows[:] = class_weights
+    cols = np.ascontiguousarray(feats.transpose(1, 0, 2)).reshape(channels, n * length)
+    return (rows @ cols)[0].reshape(n, length)
 
 
 def compute_cam(model: ResNetTSC, x: np.ndarray, class_index: int = 1) -> np.ndarray:

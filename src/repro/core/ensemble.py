@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -75,14 +76,19 @@ class ResNetEnsemble:
         if not models:
             raise ValueError("ensemble needs at least one model")
         self.models: List[ResNetTSC] = list(models)
-        #: Arena holding the traced plans' slots and recycling the member
-        #: loop's conv scratch/outputs across fused micro-batches; created
-        #: on first use so a freshly loaded ensemble carries none.
+        #: Pool the plans' slot arena is taken from, also recycling the
+        #: member loop's conv scratch/outputs across fused micro-batches;
+        #: created on first use so a freshly loaded ensemble carries none.
         self._pool: Optional[nn.backend.BufferPool] = None
         #: Traced grouped-GEMM plans per (batch, window, backend) signature
-        #: (see :mod:`repro.core.grouped`); lazy like the pool.
+        #: (see :mod:`repro.core.grouped`), all drawing their slots from
+        #: the cache's one arena; lazy like the pool.
         self._plan_cache: Optional[nn.PlanCache] = None
         self._plan_unsupported: set = set()
+        #: Serializes :meth:`forward_fused` and :meth:`predict_proba`: every
+        #: plan replays over the same arena slots, and the pool is
+        #: single-threaded.
+        self._lock = threading.Lock()
 
     @property
     def buffer_pool(self) -> nn.backend.BufferPool:
@@ -95,7 +101,7 @@ class ResNetEnsemble:
     def plan_cache(self) -> nn.PlanCache:
         """Cache of traced grouped execution plans (+ trace/replay counters)."""
         if self._plan_cache is None:
-            self._plan_cache = nn.PlanCache()
+            self._plan_cache = nn.PlanCache(arena=nn.SlotArena(self.buffer_pool))
         return self._plan_cache
 
     def __len__(self) -> int:
@@ -115,7 +121,7 @@ class ResNetEnsemble:
         untraceable structure, or a failed trace-time validation.  Every
         fallback is counted in :attr:`plan_cache` so it shows up in
         ``engine.plan_stats()`` and the benchmark JSON.  Must run inside
-        the ``no_grad`` + ``use_pool`` context of the caller.
+        the lock and the ``no_grad`` + ``use_pool`` context of the caller.
         """
         from .grouped import PlanUnsupported, compile_ensemble_plan
 
@@ -134,7 +140,7 @@ class ResNetEnsemble:
                 return None
             try:
                 plan = compile_ensemble_plan(
-                    self.models, self.buffer_pool, n, length,
+                    self.models, cache.arena, n, length,
                     class_index=class_index, with_cam=with_cam,
                 )
             except PlanUnsupported:
@@ -185,7 +191,7 @@ class ResNetEnsemble:
         n = len(x)
         out = np.empty(n, dtype=np.float32)
         pool = self.buffer_pool
-        with nn.no_grad(), nn.backend.use_pool(pool):
+        with self._lock, nn.no_grad(), nn.backend.use_pool(pool):
             for start in range(0, n, batch_size):
                 pool.step()
                 xb = x[start : start + batch_size]
@@ -232,7 +238,7 @@ class ResNetEnsemble:
         # pool.step() then recycles that batch's conv scratch, so
         # steady-state scoring performs no large allocations.
         pool = self.buffer_pool
-        with nn.no_grad(), nn.backend.use_pool(pool):
+        with self._lock, nn.no_grad(), nn.backend.use_pool(pool):
             for start in range(0, n, batch_size):
                 pool.step()
                 xb = x[start : start + batch_size]

@@ -23,39 +23,55 @@ Two fusions happen during the trace:
   serve stale statistics) lands in stacked weight/shift slots, and the
   scale/shift + ReLU run in the GEMM epilogue.
 
-All large buffers are views of plan-owned ``BufferPool.take_persistent``
-slots, which the builder reuses by size across layers (the tracer knows
-every lifetime, so a slot goes to the next buffer that fits once its
-last reader is recorded); a replay performs **zero** new large
-allocations — only the O(C_out) fold temporaries.  Plans are compiled
+All large buffers are views of :class:`~repro.nn.plan.SlotArena` slots,
+which the builder reuses by size across layers (the tracer knows every
+lifetime, so a slot goes to the next buffer that fits once its last
+reader is recorded) and, through the ensemble's one arena, across the
+plans of every batch size; a replay performs **zero** new large
+allocations — only the O(C_out) fold temporaries.  A conv group whose
+im2col columns would exceed :data:`COLUMN_BUDGET_BYTES` gathers and
+multiplies tile by tile, so the columns never outgrow the cache however
+large the batch.  Plans are compiled
 for the ``im2col`` kernel only: under ``reference`` (the ground-truth
 kernel) :func:`compile_ensemble_plan` raises :class:`PlanUnsupported`,
 so the ensemble runs its member loop with reference numerics and counts
 a fallback.
 
-Numerics vs the untraced member loop: the GAP (``sum * 1/L``), softmax
-and probability/CAM accumulation mirror the untraced ops bit-for-bit;
-the conv, head and CAM GEMMs compute the identical per-element dot
-products but with the batch folded into the GEMM column dimension
-(``(C_out, C_in*K) @ (C_in*K, N*L)`` instead of one ``(C_in*K, L)``
-GEMM per window), so their bits can in principle reassociate within
-BLAS — bounded ≤1e-5 and typically exactly zero (each output column's
-K-loop is blocked identically regardless of the column count).  The
-first call per signature validates the plan against the untraced loop
-before caching it, so a violation falls back rather than serving.
+Numerics vs the untraced member loop: softmax, CAM normalization and
+the probability/CAM accumulation mirror the untraced ops bit-for-bit.
+The conv GEMMs compute the identical per-element dot products with the
+batch folded into the GEMM column dimension (``(C_out, C_in*K) @
+(C_in*K, N*L)`` instead of one ``(C_in*K, L)`` GEMM per window); each
+output column's K-loop is blocked identically regardless of the column
+count, so the feature maps match the loop's bits.  Head and CAM come
+from one ``(n_classes, C3) @ (C3, N*L)`` GEMM of per-timestep class
+scores per member — the logits are their time average, the CAM their
+class row — a form whose per-window bits do not depend on the batch
+size; :func:`repro.core.cam.cam_from_features` contracts the same way,
+so the CAM matches the loop bit for bit and the probabilities within
+float rounding.  The first call per signature validates the plan against
+the untraced loop before caching it, so a violation falls back rather
+than serving.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+import functools
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import nn
 from ..nn.backend import counters
-from ..nn.plan import ExecutionPlan, PlanBuilder
+from ..nn.plan import ExecutionPlan, PlanBuilder, SlotArena
 
 DTYPE = np.float32
+
+#: Most bytes of im2col columns one conv GEMM gathers at once — about a
+#: core's L2.  A group whose columns at the traced batch size exceed it
+#: runs over tiles of windows (and members) that fit, so a plan's memory
+#: is bounded by the cache rather than by the batch size.
+COLUMN_BUDGET_BYTES = 2 << 20
 
 #: normalize_cam's default epsilon, mirrored exactly (repro.core.cam).
 _CAM_EPS = 1e-8
@@ -129,6 +145,32 @@ def _emit_conv_column(
         g0 = g1
 
 
+def _gather(cols5: np.ndarray, src: np.ndarray, kernel: int, l_out: int,
+            stride: int, pad: int, length: int) -> None:
+    """Fill channel-major columns ``cols5`` ``(M, C_in, K, n, L_out)`` from
+    ``src`` ``(M, C_in, n, L)``, a block of ``n`` windows.
+
+    Gathers straight from the *unpadded* source: tap ``j`` reads padded
+    positions ``j, j+stride, ...`` = unpadded ``j-pad + i*stride``; the (at
+    most ``K-1``) out-of-range columns are the zero margins, rewritten
+    every replay because the slot may have been recycled into (and
+    clobbered by) another buffer since.
+    """
+    for j in range(kernel):
+        a = j - pad
+        i0 = -(-(-a) // stride) if a < 0 else 0  # ceil(-a / stride)
+        i1 = min(l_out, (length - 1 - a) // stride + 1)
+        dst = cols5[:, :, j, :, :]
+        if i0 > 0:
+            dst[..., :i0] = 0.0
+        if i1 < l_out:
+            dst[..., i1:] = 0.0
+        np.copyto(
+            dst[..., i0:i1],
+            src[..., a + i0 * stride : a + (i1 - 1) * stride + 1 : stride],
+        )
+
+
 def _emit_conv_group(
     builder: PlanBuilder,
     group: Sequence[Tuple[object, Optional[object]]],
@@ -140,7 +182,12 @@ def _emit_conv_group(
     act_out: np.ndarray,
     relu: bool,
 ) -> None:
-    """One grouped im2col GEMM over the members ``g0:g1`` of a conv column."""
+    """Grouped im2col GEMMs over the members ``g0:g1`` of a conv column.
+
+    One gather + GEMM + epilogue when the group's columns fit
+    :data:`COLUMN_BUDGET_BYTES`; otherwise one per member and tile of
+    windows whose columns fit.
+    """
     conv0 = group[0][0]
     kernel, pad = conv0.kernel_size, conv0.padding
     c_in, c_out = conv0.in_channels, conv0.out_channels
@@ -148,9 +195,7 @@ def _emit_conv_group(
     n = x_src.shape[2]
     l_pad = length + 2 * pad
     gm = g1 - g0
-    mi = 1 if shared else gm
 
-    src_view = x_src[:1] if shared else x_src[g0:g1]
     w_stack = builder.buffer((gm, c_out, c_in * kernel))
     shift_stack = builder.buffer((gm, c_out))
     for gi, (conv, norm) in enumerate(group):
@@ -161,60 +206,65 @@ def _emit_conv_group(
         )
 
     l_out = (l_pad - kernel) // stride + 1
-    if kernel == 1 and pad == 0:
-        # The input *is* the column block: (mi, C_in*1, N*L).
-        cols = src_view.reshape(mi, c_in, n * l_out)
-    else:
-        cols = builder.buffer((mi, c_in * kernel, n * l_out))
-        cols5 = cols.reshape(mi, c_in, kernel, n, l_out)
+    gathered = kernel != 1 or pad > 0
+    # Columns of one window of one member; a shared (broadcast) source
+    # gathers its columns once for every member.
+    window_bytes = c_in * kernel * l_out * np.dtype(DTYPE).itemsize
+    tiled = gathered and (1 if shared else gm) * window_bytes * n > COLUMN_BUDGET_BYTES
+    # Tiles are per member: a tile of the whole group would hold fewer
+    # windows, and a GEMM over fewer columns re-packs its weights more
+    # often per column (measured slower at paper width).
+    m_step = 1 if tiled and not shared else gm
+    mi = 1 if shared else m_step
+    w_step = n
+    if tiled:
+        w_step = min(n, max(1, COLUMN_BUDGET_BYTES // (mi * window_bytes)))
+    cols = builder.buffer((mi, c_in * kernel, w_step * l_out)) if gathered else None
+    flat_out = act_out[g0:g1].reshape(gm, c_out, n * l_out)
 
-        def fill_step(c5=cols5, src=src_view, k=kernel, lo=l_out, st=stride,
-                      p=pad, L=length):
-            # Gather straight from the *unpadded* source: tap ``j`` reads
-            # padded positions ``j, j+st, ...`` = unpadded ``j-p + i*st``;
-            # the (at most ``k-1``) out-of-range columns are the zero
-            # margins, rewritten every replay because the slot may have
-            # been recycled into (and clobbered by) another buffer since.
-            for j in range(k):
-                a = j - p
-                i0 = -(-(-a) // st) if a < 0 else 0  # ceil(-a / st)
-                i1 = min(lo, (L - 1 - a) // st + 1)
-                dst = c5[:, :, j, :, :]
-                if i0 > 0:
-                    dst[..., :i0] = 0.0
-                if i1 < lo:
-                    dst[..., i1:] = 0.0
-                np.copyto(
-                    dst[..., i0:i1],
-                    src[..., a + i0 * st : a + (i1 - 1) * st + 1 : st],
+    for a in range(0, gm, m_step):
+        b = a + m_step
+        src = x_src[:1] if shared else x_src[g0 + a : g0 + b]
+        for w0 in range(0, n, w_step):
+            w1 = min(n, w0 + w_step)
+            tag = f"m{g0 + a}:{g0 + b}" + (f",w{w0}:{w1}" if tiled else "")
+            if gathered:
+                # The last tile may be narrower: a contiguous prefix of the slot.
+                tile = cols.reshape(-1)[: mi * c_in * kernel * (w1 - w0) * l_out]
+                tile_cols = tile.reshape(mi, c_in * kernel, (w1 - w0) * l_out)
+                tile_src = src[:, :, w0:w1]
+                builder.emit(
+                    functools.partial(
+                        _gather, tile.reshape(mi, c_in, kernel, w1 - w0, l_out),
+                        tile_src, kernel, l_out, stride, pad, length,
+                    ),
+                    label=f"im2col[{tag}]",
+                    reads=(tile_src,),
+                    writes=(tile_cols,),
                 )
+            else:
+                # The input *is* the column block: (mi, C_in*1, N*L).
+                tile_cols = src.reshape(mi, c_in, n * l_out)
+            out_view = flat_out[a:b, :, w0 * l_out : w1 * l_out]
 
-        builder.emit(
-            fill_step,
-            label=f"im2col[m{g0}:{g1}]",
-            reads=(src_view,),
-            writes=(cols,),
-        )
+            def gemm_step(w=w_stack[a:b], c=tile_cols, o=out_view,
+                          s=shift_stack[a:b], r=relu):
+                np.matmul(w, c, out=o)
+                counters.record("fused_conv_calls")
+                counters.record("fused_conv_gemms")
+                o += s[:, :, None]
+                if r:
+                    np.maximum(o, 0.0, out=o)
 
-    out_view = act_out[g0:g1].reshape(gm, c_out, n * l_out)
-
-    def gemm_step(w=w_stack, c=cols, o=out_view, s=shift_stack, r=relu):
-        np.matmul(w, c, out=o)
-        counters.record("fused_conv_calls")
-        counters.record("fused_conv_gemms")
-        o += s[:, :, None]
-        if r:
-            np.maximum(o, 0.0, out=o)
-
-    builder.emit(
-        gemm_step,
-        label=f"gemm[m{g0}:{g1}]",
-        reads=(cols, w_stack, shift_stack),
-        writes=(out_view,),
-    )
+            builder.emit(
+                gemm_step,
+                label=f"gemm[{tag}]",
+                reads=(tile_cols, w_stack, shift_stack),
+                writes=(out_view,),
+            )
     builder.release(w_stack)
     builder.release(shift_stack)
-    if kernel != 1 or pad > 0:
+    if gathered:
         builder.release(cols)
 
 
@@ -297,6 +347,8 @@ def _check_supported(models: Sequence[object], length: int) -> None:
     head_shape = heads[0].weight.shape
     if any(h.weight.shape != head_shape for h in heads):
         raise PlanUnsupported("heads disagree on shape")
+    if head_shape[0] < 2:
+        raise PlanUnsupported("the head needs two or more classes")
     for units in units_by_pos:
         if len({u.shortcut is not None for u in units}) != 1:
             raise PlanUnsupported("shortcut presence differs across members")
@@ -321,7 +373,7 @@ def _check_supported(models: Sequence[object], length: int) -> None:
 
 def compile_ensemble_plan(
     models: Sequence[object],
-    pool,
+    arena: Optional[SlotArena],
     n: int,
     length: int,
     class_index: int = 1,
@@ -334,7 +386,9 @@ def compile_ensemble_plan(
     probability) and, when ``with_cam``, ``plan.outputs["cam"]`` (``(n,
     length)`` averaged normalized CAM).  Probability and CAM accumulate in
     the *original* member order (the permutation is internal), matching
-    the untraced loop's accumulation bit-for-bit.  Raises
+    the untraced loop's accumulation bit-for-bit.  Slots come from
+    ``arena`` (a private one when ``None``), which the caller may share
+    across plans it never replays at the same time.  Raises
     :class:`PlanUnsupported` unless the active conv kernel is ``im2col``.
     """
     if nn.backend.get_backend() != "im2col":
@@ -348,7 +402,7 @@ def compile_ensemble_plan(
     perm_models = [models[i] for i in order]
     pos_of = {orig: pos for pos, orig in enumerate(order)}
 
-    builder = PlanBuilder(pool)
+    builder = PlanBuilder(arena)
     x_in = builder.input((n, length))
     # Channel-major throughout: C_in = 1 makes the raw (N, L) batch already
     # the (1, C, N, L) layout — no input transpose.
@@ -366,15 +420,6 @@ def compile_ensemble_plan(
     n_classes = perm_models[0].head.weight.shape[0]
     inv_members = 1.0 / m
 
-    # GAP mirrors Tensor.mean: sum over time, then * (1/L).
-    pooled = builder.buffer((m, c3, n))
-
-    def gap_step(f=feats, p=pooled, inv=1.0 / length):
-        np.sum(f, axis=3, out=p)
-        np.multiply(p, inv, out=p)
-
-    builder.emit(gap_step, label="gap", reads=(feats,), writes=(pooled,))
-
     # Head weights re-read from the live modules each replay (tiny copies).
     w_head = builder.buffer((m, n_classes, c3))
     b_head = builder.buffer((m, n_classes))
@@ -388,20 +433,36 @@ def compile_ensemble_plan(
                 b[mi].fill(0.0)
 
     builder.emit(head_load_step, label="head_load", writes=(w_head, b_head))
+
+    # Per-timestep class scores, one (n_classes, C3) @ (C3, N*L) GEMM per
+    # member: the head's logits are their time average and the CAM is the
+    # class row.  A GEMM of two or more rows over the window columns sums
+    # each window in the same order at any batch size, where GAP first
+    # and then (n_classes, C3) @ (C3, N) does not (gemv at N = 1, small-N
+    # kernels above), nor does a one-row CAM product (gemv).
+    scores = builder.buffer((m, n_classes, n * length))
+
+    def scores_step(w=w_head, f=feats.reshape(m, c3, n * length), o=scores):
+        np.matmul(w, f, out=o)
+
+    builder.emit(
+        scores_step, label="scores", reads=(w_head, feats), writes=(scores,)
+    )
+    builder.release(feats)
+    builder.release(w_head)
+
+    # GAP mirrors Tensor.mean: sum over time, then * (1/L).
     logits = builder.buffer((m, n_classes, n))
 
-    def head_step(p=pooled, w=w_head, b=b_head, o=logits):
-        np.matmul(w, p, out=o)
+    def head_step(sc=scores.reshape(m, n_classes, n, length), b=b_head, o=logits,
+                  inv=1.0 / length):
+        np.sum(sc, axis=3, out=o)
+        np.multiply(o, inv, out=o)
         o += b[:, :, None]
 
     builder.emit(
-        head_step,
-        label="head",
-        reads=(pooled, w_head, b_head),
-        writes=(logits,),
+        head_step, label="head", reads=(scores, b_head), writes=(logits,)
     )
-    builder.release(pooled)
-    builder.release(w_head)
     builder.release(b_head)
 
     lmax = builder.buffer((m, 1, n))
@@ -446,27 +507,7 @@ def compile_ensemble_plan(
     outputs = {"proba": out_proba}
 
     if with_cam:
-        cam_w = builder.buffer((m, 1, c3))
-
-        def cam_w_step(ms=perm_models, w=cam_w, ci=class_index):
-            for mi, model in enumerate(ms):
-                np.copyto(w[mi, 0], model.head.weight.data[ci])
-
-        builder.emit(cam_w_step, label="cam_w", writes=(cam_w,))
-        cam_raw = builder.buffer((m, 1, n * length))
-        feats_flat = feats.reshape(m, c3, n * length)
-
-        def cam_step(w=cam_w, f=feats_flat, o=cam_raw):
-            np.matmul(w, f, out=o)  # one (1,C3)@(C3,N*L) GEMM per member
-
-        builder.emit(
-            cam_step,
-            label="cam_gemm",
-            reads=(cam_w, feats_flat),
-            writes=(cam_raw,),
-        )
-        builder.release(cam_w)
-
+        cam_raw = scores[:, class_index]  # (M, N*L), normalized in place
         cam = cam_raw.reshape(m, n, length)
         maxima = builder.buffer((m, n, 1))
         notpos = builder.buffer((m, n, 1), dtype=bool)
@@ -507,9 +548,8 @@ def compile_ensemble_plan(
                 writes=(tmp_l, out_cam),
             )
         builder.release(tmp_l)
-        builder.release(cam_raw)
         outputs["cam"] = out_cam
-    builder.release(feats)
+    builder.release(scores)
 
     signature = (n, length, class_index, with_cam, nn.backend.get_backend(), m)
     return builder.build(signature, {"x": x_in}, outputs)

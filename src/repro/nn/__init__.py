@@ -26,7 +26,7 @@ from .layers import (
 )
 from .losses import BCEWithLogitsLoss, CrossEntropyLoss, MSELoss
 from .modules import Module, ModuleList, Sequential, module_calls
-from .plan import ExecutionPlan, PlanBuilder, PlanCache, plan_enabled
+from .plan import ExecutionPlan, PlanBuilder, PlanCache, SlotArena, plan_enabled
 from .optim import (
     Adam,
     AdamW,
@@ -59,6 +59,7 @@ __all__ = [
     "ExecutionPlan",
     "PlanBuilder",
     "PlanCache",
+    "SlotArena",
     "plan_enabled",
     "module_calls",
     "graph_nodes_created",

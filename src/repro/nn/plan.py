@@ -7,11 +7,11 @@ walks through ``nn.Module.__call__``, graph-node checks in every
 primitive, Tensor wrappers around every intermediate, and a pool
 transaction per scratch buffer.  This module removes all of it:
 
-* a **trace** runs once per input signature.  It executes the forward
-  eagerly while recording it as a flat list of step closures, each closed
-  over *pre-resolved* buffers (taken from the owning
-  :class:`~repro.nn.backend.BufferPool` via ``take_persistent``) and the
-  live parameter objects it reads;
+* a **trace** runs once per input signature.  It records the forward as
+  a flat list of step closures, each closed over *pre-resolved* buffers
+  (views of :class:`SlotArena` slots, which the arena takes from the
+  owning :class:`~repro.nn.backend.BufferPool` via ``take_persistent``)
+  and the live parameter objects it reads;
 * a **replay** is ``for step in steps: step()`` — zero
   ``nn.Module.__call__`` dispatch, zero graph-node checks, zero
   allocations.
@@ -19,7 +19,9 @@ transaction per scratch buffer.  This module removes all of it:
 Plans are cached per signature — the shapes that determine the call
 sequence (batch size, window length, backend mode, ...) — in a
 :class:`PlanCache` owned by the traced object (the CamAL ensemble keeps
-one next to its buffer pool).
+one next to its buffer pool).  Every plan of one cache draws its slots
+from the cache's one :class:`SlotArena`, so a ladder of plans costs about
+its largest plan, not the sum of them.
 Anything the tracer does not support falls back to the untraced path and
 is counted, so regressions show up in ``engine.plan_stats()`` and the
 benchmark JSON rather than as silent slowdowns.
@@ -46,6 +48,7 @@ __all__ = [
     "ExecutionPlan",
     "PlanBuilder",
     "PlanCache",
+    "SlotArena",
     "plan_enabled",
 ]
 
@@ -71,13 +74,18 @@ class ExecutionPlan:
 
     ``inputs`` and ``outputs`` name the pre-resolved buffers the caller
     copies into before :meth:`run` and reads after it.  The caller must
-    copy outputs *out* before the next replay — every slot is rewritten.
+    copy inputs in just before :meth:`run` and outputs *out* just after
+    it: every slot is rewritten by this replay, and by any other replay
+    of a plan sharing its :class:`SlotArena`.
 
-    The plan owns its slots (the step closures hold views of them) for as
-    long as it lives; no other plan shares one.  ``slot_bytes`` is what
-    those slots hold, ``peak_live_bytes`` the largest total of the plan's
-    buffers live at once during the trace — the floor any slot layout
-    needs.
+    The step closures hold views of arena slots, which other plans traced
+    through the same arena reuse, so replays of plans sharing an arena
+    must never overlap in time (the owner serializes them).  Each replay
+    writes every slot before reading it — the sanitizer checks that at
+    trace time — so what another plan left in a slot never leaks in.
+    ``slot_bytes`` is what the slots this plan uses hold,
+    ``peak_live_bytes`` the largest total of the plan's buffers live at
+    once during the trace — the floor any slot layout needs.
     """
 
     __slots__ = (
@@ -119,18 +127,47 @@ class ExecutionPlan:
         return len(self.steps)
 
 
+class SlotArena:
+    """Flat ``uint8`` slots shared by every plan traced through it.
+
+    The arena only grows and never moves a slot, so a cached plan's views
+    stay valid however many plans are traced after it.  A
+    :class:`PlanBuilder` starts with every arena slot free and asks for a
+    new one only when none fits, so an arena first sized by its largest
+    plan serves the smaller ones from the same bytes.  Slots come from
+    ``pool.take_persistent`` when a pool is given, so the pool's
+    ``bytes_allocated`` counts them.
+    """
+
+    def __init__(self, pool: Optional[BufferPool] = None):
+        self._pool = pool
+        self.slots: List[np.ndarray] = []
+        self.nbytes = 0
+
+    def grow(self, nbytes: int) -> np.ndarray:
+        """A new ``nbytes`` slot, owned by the arena from now on."""
+        if self._pool is not None:
+            slot = self._pool.take_persistent((nbytes,), np.uint8)
+        else:
+            # repro: waive[HOT001] pool-less trace-time slot acquisition — this IS the allocator the ban steers hot code toward
+            slot = np.empty(nbytes, dtype=np.uint8)
+        self.slots.append(slot)
+        self.nbytes += nbytes
+        return slot
+
+
 class PlanBuilder:
     """Collects steps and hands out pre-resolved buffer slots during a trace.
 
-    A slot is a flat ``uint8`` array taken once from the pool with
-    ``take_persistent``; :meth:`buffer` hands out a shaped view of one,
-    and :meth:`release` gives the slot back once the buffer's last
-    consumer has been recorded.  Slots are reused by size: a request is
-    served from the smallest released slot with enough bytes, whatever
-    shape or dtype it held before, and takes a new slot only when none
-    fits.  The tracer knows every lifetime exactly — it is writing the
-    schedule — so the plan's slot bytes stay within a small factor of its
-    peak live bytes (both recorded on the :class:`ExecutionPlan`).
+    A slot is a flat ``uint8`` array of the builder's :class:`SlotArena`
+    (a private one unless the caller shares one); :meth:`buffer` hands out
+    a shaped view of one, and :meth:`release` gives the slot back once the
+    buffer's last consumer has been recorded.  Slots are reused by size: a
+    request is served from the smallest free slot with enough bytes,
+    whatever shape or dtype it held before, and grows the arena only when
+    none fits.  The tracer knows every lifetime exactly — it is writing
+    the schedule — so the plan's slot bytes stay within a small factor of
+    its peak live bytes (both recorded on the :class:`ExecutionPlan`).
 
     Under ``REPRO_NN_SANITIZE=1`` the builder carries a
     :class:`repro.analysis.sanitize.PlanTracker`: slots get generation
@@ -140,12 +177,15 @@ class PlanBuilder:
     time* with the offending step's label — before a single replay runs.
     """
 
-    def __init__(self, pool: Optional[BufferPool] = None):
-        self._pool = pool
+    def __init__(self, arena: Optional[SlotArena] = None):
+        self._arena = arena if arena is not None else SlotArena()
         self._steps: List[Callable[[], None]] = []
         self._labels: List[str] = []
-        #: Released slots, reusable by any later request that fits.
-        self._free: List[np.ndarray] = []
+        #: Free slots, reusable by any later request that fits: the whole
+        #: arena at first, then every released slot.
+        self._free: List[np.ndarray] = list(self._arena.slots)
+        #: ids of the arena slots this plan has used.
+        self._used: Set[int] = set()
         #: id of each array :meth:`buffer` handed out -> (that array, its
         #: slot).  Holding the array keeps its id from being reused by an
         #: unrelated array once the caller drops it.
@@ -182,26 +222,22 @@ class PlanBuilder:
         return arr
 
     def _slot(self, nbytes: int) -> np.ndarray:
-        """The smallest released slot of at least ``nbytes``, else a new one."""
+        """The smallest free slot of at least ``nbytes``, else a new one."""
         best = -1
         for i, slot in enumerate(self._free):
             if slot.nbytes >= nbytes and (
                 best < 0 or slot.nbytes <= self._free[best].nbytes
             ):
                 best = i
-        if best >= 0:
-            slot = self._free.pop(best)
-            if self._tracker is not None:
-                self._tracker.on_buffer(slot, recycled=True)
-            return slot
-        if self._pool is not None:
-            slot = self._pool.take_persistent((nbytes,), np.uint8)
-        else:
-            # repro: waive[HOT001] pool-less trace-time slot acquisition — this IS the allocator the ban steers hot code toward
-            slot = np.empty(nbytes, dtype=np.uint8)
-        self._slot_bytes += nbytes
+        slot = self._free.pop(best) if best >= 0 else self._arena.grow(nbytes)
+        recycled = id(slot) in self._used
+        if not recycled:
+            self._used.add(id(slot))
+            self._slot_bytes += slot.nbytes
         if self._tracker is not None:
-            self._tracker.on_buffer(slot, recycled=False)
+            # A slot another plan used is new to this trace: its bytes are
+            # that plan's, so it too must be written before it is read.
+            self._tracker.on_buffer(slot, recycled=recycled)
         return slot
 
     def release(self, arr: np.ndarray) -> None:
@@ -268,15 +304,18 @@ class PlanCache:
     ``traces`` counts plan recordings, ``replays`` counts plan executions,
     ``fallbacks`` counts calls that ran the untraced path (plan layer
     disabled, unsupported structure, or a failed trace-time validation).
-    ``slot_bytes`` and ``peak_live_bytes`` sum the cached plans' own
-    figures (see :class:`ExecutionPlan`).  The serving engine surfaces
-    these via ``plan_stats()`` next to ``buffer_pool_stats()``.
+    Every plan of the cache is traced through its one :attr:`arena`:
+    ``slot_bytes`` reports the arena's bytes (evicted plans' slots stay
+    in it for the next trace), ``peak_live_bytes`` the largest cached
+    plan's figure (see :class:`ExecutionPlan`).  The serving engine
+    surfaces these via ``plan_stats()`` next to ``buffer_pool_stats()``.
     """
 
-    def __init__(self, max_plans: int = 16):
+    def __init__(self, max_plans: int = 16, arena: Optional[SlotArena] = None):
         if max_plans < 1:
             raise ValueError(f"max_plans must be >= 1, got {max_plans}")
         self.max_plans = max_plans
+        self.arena = arena if arena is not None else SlotArena()
         self._plans: "OrderedDict[Signature, ExecutionPlan]" = OrderedDict()
         self.traces = 0
         self.replays = 0
@@ -303,7 +342,7 @@ class PlanCache:
         self.fallbacks += n
 
     def clear(self) -> None:
-        """Drop every cached plan (counters are kept, like BufferPool)."""
+        """Drop every cached plan (counters and arena slots are kept)."""
         self._plans.clear()
 
     def __len__(self) -> int:
@@ -316,6 +355,8 @@ class PlanCache:
             "traces": self.traces,
             "replays": self.replays,
             "fallbacks": self.fallbacks,
-            "slot_bytes": sum(p.slot_bytes for p in self._plans.values()),
-            "peak_live_bytes": sum(p.peak_live_bytes for p in self._plans.values()),
+            "slot_bytes": self.arena.nbytes,
+            "peak_live_bytes": max(
+                (p.peak_live_bytes for p in self._plans.values()), default=0
+            ),
         }

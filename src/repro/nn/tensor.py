@@ -16,6 +16,7 @@ fused primitives (convolution, pooling, normalization, fused losses) live in
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,7 +26,13 @@ DEFAULT_DTYPE = np.float32
 Number = Union[int, float]
 TensorLike = Union["Tensor", np.ndarray, Number, Sequence]
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    """Per-thread grad mode: every thread starts with grad enabled."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 #: Running count of graph nodes created (ops recorded with a backward
 #: closure).  Regression tests diff this around inference passes to prove
@@ -44,24 +51,24 @@ class no_grad:
     Inside the context no backward closures are built and no forward state
     is saved for reuse in a backward pass; the fused primitives in
     :mod:`repro.nn.functional` additionally take allocation-light fast
-    paths (see ``docs/nn.md``).
+    paths (see ``docs/nn.md``).  The mode is per thread: a ``no_grad``
+    block never stops (or, on exit, restarts) graph building in another
+    thread.
     """
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_mode.enabled = self._prev
         return False
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record the autograd graph."""
-    return _grad_enabled
+    """Return whether operations in this thread record the autograd graph."""
+    return _grad_mode.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -113,7 +120,7 @@ class Tensor:
         calling :meth:`_accumulate` on each parent that requires grad.
         """
         parents = tuple(parents)
-        requires = _grad_enabled and any(p.requires_grad for p in parents)
+        requires = _grad_mode.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             global _graph_nodes_created
@@ -380,7 +387,7 @@ class Tensor:
         return Tensor._make_from(out_data, (self,), backward, "sigmoid")
 
     def relu(self) -> "Tensor":
-        if not (_grad_enabled and self.requires_grad):
+        if not (_grad_mode.enabled and self.requires_grad):
             # Inference fast path: no boolean mask, output into the active
             # buffer pool (if any) so the serving loop reuses it.
             from . import backend

@@ -500,16 +500,17 @@ class ServingDaemon:
         Tracing an eval plan costs orders of magnitude more than
         replaying it; with bucketing the signature space is the small
         power-of-two ladder, so paying all of it at startup keeps live
-        p99 flat from the very first request.
+        p99 flat from the very first request.  The ladder is traced
+        largest first: an ensemble's plans share one slot arena, and
+        sizing it by the biggest plan lets the smaller ones fit in it.
         """
         window = self.engine.config.window
-        top = 1 << (self.config.max_batch_windows - 1).bit_length()
-        bucket = 1
-        while bucket <= top:
+        bucket = 1 << (self.config.max_batch_windows - 1).bit_length()
+        while bucket >= 1:
             windows = np.zeros((bucket, window), dtype=np.float32)
             for appliance in list(self.engine.pipelines):
                 self.engine.localize_windows(appliance, windows)
-            bucket <<= 1
+            bucket >>= 1
 
     def serve_forever(self) -> None:
         """Block until :meth:`shutdown` completes (SIGTERM-friendly wait)."""

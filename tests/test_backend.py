@@ -418,6 +418,98 @@ class TestPlanMemory:
         assert plan.slot_bytes <= 2 * plan.peak_live_bytes
 
 
+def _compact_ensemble(seed=0):
+    """The serve-compact shape: kernels 5/7/9, filters 8/16/16."""
+    from repro.core import ResNetConfig, ResNetEnsemble, ResNetTSC
+
+    return ResNetEnsemble([
+        ResNetTSC(ResNetConfig(kernel_size=k, filters=(8, 16, 16), seed=seed + i)).eval()
+        for i, k in enumerate((5, 7, 9))
+    ])
+
+
+class TestEnsembleArena:
+    """Cache-sized column tiles and one slot arena per ensemble."""
+
+    MiB = 1 << 20
+
+    def test_compact_256_window_plan_fits_in_40_mib(self):
+        from repro.core.grouped import compile_ensemble_plan
+
+        plan = compile_ensemble_plan(_compact_ensemble().models, None, 256, 128)
+        assert plan.slot_bytes <= 40 * self.MiB  # untiled columns: 80.8 MiB
+
+    def test_tiles_match_untiled_plan_bit_for_bit(self, monkeypatch):
+        from repro.core import grouped
+
+        models = _compact_ensemble().models
+        x = RNG.random((64, 128)).astype(np.float32)
+        outputs = []
+        # The smallest budget is below one window's columns: one-window tiles.
+        for budget in (1 << 40, 64 << 10, 8 << 10):
+            monkeypatch.setattr(grouped, "COLUMN_BUDGET_BYTES", budget)
+            plan = grouped.compile_ensemble_plan(models, None, 64, 128)
+            np.copyto(plan.inputs["x"], x)
+            plan.run()
+            outputs.append({k: v.copy() for k, v in plan.outputs.items()})
+        for tiled in outputs[1:]:
+            for name, value in outputs[0].items():
+                np.testing.assert_array_equal(tiled[name], value)
+
+    def test_warm_ladder_arena_is_about_its_largest_plan(self):
+        """Engine warm-up (256 windows) plus the daemon's 1…256 bucket
+        ladder: nine plans, one arena, all of it in the ensemble's pool."""
+        ensemble = _compact_ensemble()
+        ensemble.forward_fused(np.zeros((256, 128), np.float32), batch_size=256)
+        for bucket in (1, 2, 4, 8, 16, 32, 64, 128, 256):
+            ensemble.forward_fused(np.zeros((bucket, 128), np.float32), batch_size=bucket)
+        cache = ensemble.plan_cache
+        stats = cache.stats
+        assert stats["plans"] == 9 and stats["fallbacks"] == 0
+        largest = max(plan.slot_bytes for plan in cache._plans.values())
+        assert stats["slot_bytes"] == cache.arena.nbytes
+        assert stats["slot_bytes"] <= 1.5 * largest  # private slots: 2.0x
+        assert stats["slot_bytes"] == ensemble.buffer_pool.bytes_allocated
+        assert stats["peak_live_bytes"] == max(
+            plan.peak_live_bytes for plan in cache._plans.values()
+        )
+
+    def test_concurrent_replays_of_different_sizes_match_serial(self):
+        """Threads replay plans sharing one arena at once; the ensemble lock
+        keeps each replay's slots its own."""
+        import threading
+
+        ensemble = _compact_ensemble(seed=3)
+        inputs = {n: RNG.random((n, 128)).astype(np.float32) for n in (64, 16, 4, 1)}
+        serial = {n: ensemble.forward_fused(x, batch_size=n) for n, x in inputs.items()}
+        start = threading.Barrier(len(inputs))
+        failures = []
+
+        def worker(n):
+            try:
+                start.wait(10.0)
+                for _ in range(20):
+                    got = ensemble.forward_fused(inputs[n], batch_size=n)
+                    if not (np.array_equal(got.proba, serial[n].proba)
+                            and np.array_equal(got.cam, serial[n].cam)):
+                        failures.append(n)
+            except Exception as exc:  # a torn pool also counts as a failure
+                failures.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+
+
 class TestUpsampleSegmentSum:
     """Oracle test: the bincount backward equals the old ``np.add.at`` path."""
 

@@ -11,15 +11,24 @@ every draw.  Example counts stay small so tier-1 stays fast.
   the fused inference entry point.
 * **Gradients match finite differences**: ``conv1d`` under both kernels,
   and training-mode ``batch_norm``.
+* **The fused ensemble forward is batch-size invariant**: a window's
+  ``proba`` and CAM bits from ``forward_fused`` do not depend on the batch
+  it is scored in, at the compact preset and at paper width.
 """
 
 import contextlib
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
+from repro.core import ResNetConfig, ResNetEnsemble, ResNetTSC
+from repro.core.resnet import DEFAULT_FILTERS, DEFAULT_KERNEL_SET
 from repro.nn import backend, check_gradients
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
@@ -159,3 +168,90 @@ class TestGradientsMatchFiniteDifferences:
         # A 1e-2 step: float32 round-off in a 1e-3 central difference of this
         # smooth loss already reaches check_gradients' 1e-3 tolerance.
         check_gradients(loss, [x, gamma, beta], eps=1e-2)
+
+
+#: (kernels, filters, batch sizes) per preset; window length 128 throughout.
+ENSEMBLE_PRESETS = {
+    "compact": ((5, 7, 9), (8, 16, 16), (1, 2, 3, 4, 8, 16, 64, 256)),
+    "paper": (DEFAULT_KERNEL_SET, DEFAULT_FILTERS, tuple(range(1, 17))),
+}
+
+
+@pytest.fixture(scope="module")
+def ensemble_of():
+    """One eval-mode ensemble per preset, built on first use and shared by
+    the module's tests so each plan traces once."""
+    built = {}
+
+    def get(preset):
+        if preset not in built:
+            kernels, filters, _ = ENSEMBLE_PRESETS[preset]
+            built[preset] = ResNetEnsemble([
+                ResNetTSC(ResNetConfig(kernel_size=k, filters=filters, seed=40 + i)).eval()
+                for i, k in enumerate(kernels)
+            ])
+        return built[preset]
+
+    return get
+
+
+class TestFusedForwardBatchSizeInvariance:
+    """The coalescer's coalesced == solo contract, end to end: each window
+    scored inside a batch of any size gets the bits it gets alone."""
+
+    @pytest.mark.parametrize("preset", sorted(ENSEMBLE_PRESETS))
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), scale=st.sampled_from((1.0, 3.0, 1e-3, 0.0)))
+    def test_proba_and_cam_bits(self, ensemble_of, preset, seed, scale):
+        ensemble = ensemble_of(preset)
+        sizes = ENSEMBLE_PRESETS[preset][2]
+        x = np.random.default_rng(seed).random((max(sizes), 128)).astype(np.float32)
+        x *= np.float32(scale)
+        with backend.use_backend("im2col"):
+            solo = [ensemble.forward_fused(x[i : i + 1], batch_size=1) for i in range(len(x))]
+            for n in sizes:
+                got = ensemble.forward_fused(x[:n], batch_size=n)
+                for i in range(n):
+                    assert got.proba[i].tobytes() == solo[i].proba.tobytes(), (n, i)
+                    assert got.cam[i].tobytes() == solo[i].cam[0].tobytes(), (n, i)
+        # Every batch size replayed a plan; none was rejected at trace time.
+        assert ensemble.plan_cache.fallbacks == 0
+
+    @pytest.mark.parametrize("preset,n", [("compact", 256), ("compact", 3), ("paper", 16)])
+    @settings(max_examples=2, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16))
+    def test_plan_cam_equals_member_loop(self, ensemble_of, preset, n, seed):
+        """The plan contracts the CAM in the member loop's form, so trace-time
+        validation compares equal bits, however small the CAM's maximum."""
+        ensemble = ensemble_of(preset)
+        x = np.random.default_rng(seed).random((n, 128)).astype(np.float32)
+        proba = np.zeros(n, dtype=np.float32)
+        cam = np.zeros((n, 128), dtype=np.float32)
+        with backend.use_backend("im2col"):
+            got = ensemble.forward_fused(x, batch_size=n)
+            with nn.no_grad():
+                ensemble._forward_fused_loop(x, proba, cam, 0, class_index=1)
+        assert np.array_equal(got.cam, cam)
+        np.testing.assert_allclose(got.proba, proba, rtol=0, atol=1e-6)
+
+    def test_zero_warmup_keeps_the_plan_with_one_blas_thread(self):
+        """Regression: with BLAS on one thread, a 256-window all-zeros warm-up
+        of this ensemble (serve-compact's kettle at seed 504) used to fail
+        trace-time validation through CAM drift and disable the plan."""
+        code = (
+            "import numpy as np\n"
+            "from repro.core import ResNetConfig, ResNetEnsemble, ResNetTSC\n"
+            "ms = [ResNetTSC(ResNetConfig(kernel_size=k, filters=(8, 16, 16), seed=50400 + i)).eval()"
+            " for i, k in enumerate((5, 7, 9))]\n"
+            "ens = ResNetEnsemble(ms)\n"
+            "ens.forward_fused(np.zeros((256, 128), np.float32), batch_size=256)\n"
+            "if ens.plan_cache.fallbacks:\n"
+            "    raise SystemExit(str(ens.plan_cache.stats))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=src)
+        env.pop("REPRO_NN_PLAN", None)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr

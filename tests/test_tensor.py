@@ -359,6 +359,37 @@ class TestNoGrad:
             pass
         assert (x * 2.0).requires_grad
 
+    def test_no_grad_is_per_thread(self):
+        """A helper thread inside ``no_grad`` neither stops graph building
+        here nor, on exit, restarts it inside this thread's own block."""
+        import threading
+
+        entered, release, done = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def helper():
+            x = Tensor([1.0], requires_grad=True)
+            with no_grad():
+                entered.set()
+                release.wait(5.0)
+                seen["helper_inside"] = (x * 2.0).requires_grad
+            done.set()
+
+        thread = threading.Thread(target=helper)
+        thread.start()
+        try:
+            assert entered.wait(5.0)
+            x = Tensor([1.0], requires_grad=True)
+            assert (x * 2.0).requires_grad  # helper's block does not reach here
+            with no_grad():
+                release.set()
+                assert done.wait(5.0)
+                assert not (x * 2.0).requires_grad  # helper's exit does not either
+        finally:
+            release.set()
+            thread.join(5.0)
+        assert seen["helper_inside"] is False
+
     def test_detach(self):
         x = Tensor([1.0], requires_grad=True)
         assert not x.detach().requires_grad
