@@ -1,4 +1,4 @@
-"""Ablation: the power-gate refinement (DESIGN.md §5).
+"""Ablation: the power-gate refinement, a step beyond the paper's §IV-B.
 
 The literal §IV-B formula marks a timestamp ON whenever the ensemble CAM
 is positive (the base load keeps x(t) > 0 everywhere); gating by the

@@ -39,14 +39,8 @@ from hashlib import blake2b
 import numpy as np
 
 from repro.analysis import faults
-from repro.core import (
-    CamAL,
-    ResNetConfig,
-    ResNetEnsemble,
-    ResNetTSC,
-    load_pipelines,
-    save_pipelines,
-)
+from repro.api import load_pipelines, save_pipelines
+from repro.core import CamAL, ResNetConfig, ResNetEnsemble, ResNetTSC
 from repro.data import MeterStore
 from repro.serving import (
     EngineConfig,

@@ -20,12 +20,8 @@ import numpy as np
 
 import repro.experiments as ex
 from repro import simdata as sd
-from repro.core import (
-    estimate_power,
-    estimate_power_adaptive,
-    report_from_status,
-    save_pipelines,
-)
+from repro.api import save_pipelines
+from repro.core import estimate_power, estimate_power_adaptive, report_from_status
 from repro.metrics import mae
 from repro.serving import EngineConfig, InferenceEngine
 

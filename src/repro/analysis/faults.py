@@ -92,7 +92,7 @@ FAULTS_ENV = "REPRO_FAULTS"
 #: source of truth: specs naming an unknown point are rejected at parse
 #: time, and ``docs/robustness.md`` documents this table.
 KNOWN_POINTS: Dict[str, str] = {
-    "store.shard_write": "shard byte payloads in data.store._atomic_write_bytes",
+    "store.shard_write": "shard byte payloads written by data.store (not its manifest)",
     "store.shard_read": "memmap open in data.store.MeterStore.shard",
     "serve.socket_recv": "client-side frame read in serving.client.ServingClient",
     "serve.coalesce": "stacked multi-request forward in the serving coalescer",

@@ -9,7 +9,7 @@
   :class:`Seq2SeqLocalizer` and :class:`WeakMILLocalizer`, plus the
   built-in registrations (camal, crnn, crnn-weak, bigru, unet-nilm,
   tpnilm, transnilm);
-* :mod:`repro.api.persistence` — versioned-manifest persistence that
+* :mod:`repro.api.persistence` — one checksummed manifest format that
   round-trips any registered estimator (and whole per-appliance fleets).
 
 Quickstart::
@@ -33,7 +33,8 @@ from .adapters import (
 )
 from .base import SUPERVISION_KINDS, NotFittedError, WeakLocalizer
 from .persistence import (
-    GENERIC_FORMAT_VERSION,
+    MODEL_FORMAT_VERSION,
+    ModelIntegrityError,
     load_estimator,
     load_pipelines,
     save_estimator,
@@ -72,5 +73,6 @@ __all__ = [
     "load_estimator",
     "save_pipelines",
     "load_pipelines",
-    "GENERIC_FORMAT_VERSION",
+    "MODEL_FORMAT_VERSION",
+    "ModelIntegrityError",
 ]

@@ -51,9 +51,8 @@ class CamALLocalizer(WeakLocalizer):
     ``fit`` runs :func:`repro.core.train_ensemble` (optionally across
     ``n_workers`` processes, resumable from ``checkpoint_dir``) and builds
     the :class:`~repro.core.CamAL` pipeline; inference delegates to it.
-    A pre-built pipeline (e.g. from :func:`repro.core.train_ensemble` or
-    :func:`repro.core.load_pipelines`) can be wrapped directly via the
-    ``pipeline`` argument.
+    A pre-built pipeline (e.g. from :func:`repro.core.train_ensemble`) can
+    be wrapped directly via the ``pipeline`` argument.
     """
 
     name = "camal"

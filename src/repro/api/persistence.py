@@ -1,54 +1,56 @@
-"""Generic estimator persistence: one manifest format for every model.
+"""Estimator persistence: one manifest format for every registered model.
 
-Layout: a saved estimator is a directory holding ``manifest.json`` plus
-one or more ``.npz`` weight archives.  Two manifest flavours coexist:
+A saved estimator is a directory holding ``manifest.json`` plus one or
+more ``.npz`` weight archives::
 
-* **format_version 1** — the original CamAL layout (``members`` list, one
-  archive per ensemble ResNet).  Written by :class:`CamALLocalizer.save`
-  and :func:`repro.core.save_pipelines`; directories that predate the
-  ``model`` key load as CamAL.
-* **format_version 2** — the generic network-estimator layout::
+    {
+      "format_version": 3,
+      "model": "crnn",            # registry name -> class + config type
+      "supervision": "strong",
+      "config": {...},            # the model's config-dataclass fields
+      "detection_threshold": 0.5,
+      "status_threshold": 0.5,
+      "power_gate_watts": null,
+      "n_labels": 1280,
+      "files": {"network.npz": "<blake2b-128 hex>"}
+    }
 
-      {
-        "format_version": 2,
-        "model": "crnn",            # registry name -> class + config type
-        "supervision": "strong",
-        "config": {...},            # the model's config-dataclass fields
-        "detection_threshold": 0.5,
-        "status_threshold": 0.5,
-        "power_gate_watts": null,
-        "n_labels": 1280,
-        "weights": "network.npz"
-      }
+CamAL's ``config`` holds ``use_attention`` and the ensemble's
+``members`` (one :class:`~repro.core.ResNetConfig` per
+``member_<i>.npz``): Algorithm 1's search space is spent once training
+ends, and the members are what a reload rebuilds.
 
-:func:`load_estimator` dispatches on the manifest's ``model`` key through
-the registry, so ``load_estimator(d)`` round-trips *any* registered
-estimator; :func:`load_pipelines` discovers a fleet of per-appliance
-directories (mixed model types welcome) and reports anything it skips.
+Every file goes through :func:`repro.nn.serialization.write_atomic`, the
+manifest last.  :func:`load_estimator` checks each archive against its
+recorded checksum before deserializing it, so a missing, torn or flipped
+archive raises :class:`ModelIntegrityError`; :func:`load_pipelines`
+skips and reports such a directory and loads the rest of the fleet.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import asdict, fields
-from typing import Dict
+from typing import Dict, Tuple
 
+from ..core.ensemble import ResNetEnsemble
 from ..core.localization import CamAL
-from ..core.persistence import (
-    MANIFEST_NAME,
-    _read_camal,
-    _write_camal,
-    scan_pipeline_root,
-    warn_skipped_pipelines,
-)
-from ..nn.serialization import load_state, save_state
+from ..core.resnet import ResNetConfig, ResNetTSC
+from ..nn.modules import Module
+from ..nn.serialization import checksum, load_state, save_state, write_atomic
 from .adapters import CamALLocalizer, Seq2SeqLocalizer
 from .base import NotFittedError, WeakLocalizer
-from .registry import canonical_name, get_entry
+from .registry import get_entry
 
-GENERIC_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
+MANIFEST_NAME = "manifest.json"
 _WEIGHTS_NAME = "network.npz"
+
+
+class ModelIntegrityError(RuntimeError):
+    """A saved model's archive is missing or fails its manifest checksum."""
 
 
 def _config_from_fields(config_cls: type, stored: Dict) -> object:
@@ -62,22 +64,23 @@ def _config_from_fields(config_cls: type, stored: Dict) -> object:
     return config_cls(**kwargs)
 
 
-def save_estimator(estimator, directory: str) -> None:
-    """Persist any registered estimator (or a raw :class:`CamAL`).
-
-    CamAL pipelines keep the original member-per-file layout (format 1,
-    still readable by the legacy loader); network estimators write the
-    generic format-2 manifest plus one weights archive.
-    """
-    if isinstance(estimator, CamAL):
-        _write_camal(estimator, directory)
-        return
+def _archives(estimator) -> Tuple[Dict, Dict[str, Module]]:
+    """An estimator's manifest ``config`` and its modules by archive name."""
     if isinstance(estimator, CamALLocalizer):
-        if estimator.pipeline is None:
-            raise NotFittedError("cannot save an unfitted CamALLocalizer")
-        _write_camal(estimator.pipeline, directory, n_labels=estimator.n_labels_)
-        return
-    if not isinstance(estimator, Seq2SeqLocalizer):
+        models = estimator.pipeline.ensemble.models
+        config = {
+            "use_attention": bool(estimator.use_attention),
+            "members": [asdict(model.config) for model in models],
+        }
+        return config, {f"member_{i}.npz": model for i, model in enumerate(models)}
+    return asdict(estimator.config), {_WEIGHTS_NAME: estimator.network}
+
+
+def save_estimator(estimator, directory: str) -> None:
+    """Persist any registered estimator (or a raw :class:`CamAL`)."""
+    if isinstance(estimator, CamAL):
+        estimator = CamALLocalizer(pipeline=estimator)
+    if not isinstance(estimator, (CamALLocalizer, Seq2SeqLocalizer)):
         raise TypeError(
             f"don't know how to persist {type(estimator).__name__}; expected "
             f"a registered WeakLocalizer or a CamAL pipeline"
@@ -85,61 +88,85 @@ def save_estimator(estimator, directory: str) -> None:
     if not estimator.is_fitted:
         raise NotFittedError(f"cannot save an unfitted {estimator.name!r} estimator")
 
-    os.makedirs(directory, exist_ok=True)
-    save_state(estimator.network, os.path.join(directory, _WEIGHTS_NAME))
+    config, modules = _archives(estimator)
     gate = estimator.power_gate_watts
     manifest = {
-        "format_version": GENERIC_FORMAT_VERSION,
+        "format_version": MODEL_FORMAT_VERSION,
         "model": estimator.name,
         "supervision": estimator.supervision,
-        "config": asdict(estimator.config),
+        "config": config,
         "detection_threshold": float(estimator.detection_threshold),
         "status_threshold": float(estimator.status_threshold),
         "power_gate_watts": None if gate is None else float(gate),
         "n_labels": int(estimator.n_labels_),
-        "weights": _WEIGHTS_NAME,
+        "files": {
+            name: save_state(module, os.path.join(directory, name))
+            for name, module in modules.items()
+        },
     }
-    with open(os.path.join(directory, MANIFEST_NAME), "w") as handle:
-        json.dump(manifest, handle, indent=2)
+    payload = json.dumps(manifest, indent=2).encode()
+    write_atomic(os.path.join(directory, MANIFEST_NAME), payload)
+
+
+def _read_archive(directory: str, name: str, expected: str) -> bytes:
+    """The bytes of archive ``name``, proven against its manifest checksum."""
+    path = os.path.join(directory, name)
+    try:
+        with open(path, "rb") as handle:
+            payload = handle.read()
+    except FileNotFoundError:
+        raise ModelIntegrityError(f"{path}: archive missing") from None
+    digest = checksum(payload)
+    if digest != expected:
+        raise ModelIntegrityError(
+            f"{path}: checksum mismatch: manifest records {expected}, "
+            f"file hashes to {digest}"
+        )
+    return payload
 
 
 def load_estimator(directory: str) -> WeakLocalizer:
     """Reload any estimator saved by :func:`save_estimator` / ``.save()``.
 
-    Dispatches on the manifest's ``model`` key; manifests without one
-    (pre-registry CamAL directories) load as CamAL.
+    Dispatches on the manifest's ``model`` key through the registry.
     """
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory!r}")
     with open(manifest_path) as handle:
         manifest = json.load(handle)
-
-    model = manifest.get("model")
-    if model is None or canonical_name(model) == "camal":
-        estimator = CamALLocalizer(pipeline=_read_camal(directory))
-        estimator.n_labels_ = int(manifest.get("n_labels", 0))
-        return estimator
-
     version = manifest.get("format_version")
-    if version != GENERIC_FORMAT_VERSION:
+    if version != MODEL_FORMAT_VERSION:
         raise ValueError(
-            f"unsupported manifest format_version {version!r} for model "
-            f"{model!r} (expected {GENERIC_FORMAT_VERSION})"
+            f"unsupported manifest format_version {version!r} "
+            f"(expected {MODEL_FORMAT_VERSION})"
         )
-    entry = get_entry(model)
-    config = _config_from_fields(entry.config_cls, manifest.get("config", {}))
-    gate = manifest.get("power_gate_watts")
-    estimator = entry.factory(
-        config,
-        train=None,
-        detection_threshold=float(manifest.get("detection_threshold", 0.5)),
-        status_threshold=float(manifest.get("status_threshold", 0.5)),
+
+    entry = get_entry(manifest["model"])
+    config = manifest["config"]
+    gate = manifest["power_gate_watts"]
+    knobs = dict(
+        detection_threshold=float(manifest["detection_threshold"]),
+        status_threshold=float(manifest["status_threshold"]),
         power_gate_watts=None if gate is None else float(gate),
     )
-    load_state(estimator.network, os.path.join(directory, manifest["weights"]))
-    estimator.network.eval()
-    estimator._mark_fitted(int(manifest.get("n_labels", 0)), 0.0)
+    if entry.name == "camal":
+        models = [
+            ResNetTSC(_config_from_fields(ResNetConfig, member))
+            for member in config["members"]
+        ]
+        pipeline = CamAL(
+            ResNetEnsemble(models), use_attention=bool(config["use_attention"]), **knobs
+        )
+        estimator = CamALLocalizer(pipeline=pipeline)
+    else:
+        estimator = entry.factory(
+            _config_from_fields(entry.config_cls, config), train=None, **knobs
+        )
+    for name, module in _archives(estimator)[1].items():
+        load_state(module, _read_archive(directory, name, manifest["files"][name]))
+    estimator.eval()
+    estimator._mark_fitted(int(manifest["n_labels"]), 0.0)
     return estimator
 
 
@@ -158,18 +185,33 @@ def load_pipelines(root: str) -> Dict[str, WeakLocalizer]:
 
     This is the deployment layout consumed by
     :meth:`repro.serving.InferenceEngine.load`: one subdirectory per
-    appliance, each holding a ``manifest.json``.  Stray files and
-    manifest-less directories are skipped and reported with a single
-    ``UserWarning`` instead of aborting the load mid-way.
+    appliance, each holding a ``manifest.json``.  Stray files,
+    manifest-less directories and models that fail to load (unknown
+    model or format, corrupt manifest, :class:`ModelIntegrityError`) are
+    skipped and reported with a single ``UserWarning`` instead of
+    aborting the load mid-way.
     """
-    entries, skipped = scan_pipeline_root(root)
+    if not os.path.isdir(root):
+        raise FileNotFoundError(f"no pipeline directory at {root!r}")
     pipelines: Dict[str, WeakLocalizer] = {}
-    for name, directory in entries:
-        try:
-            pipelines[name] = load_estimator(directory)
-        except (KeyError, ValueError, OSError) as exc:
-            # Unknown model, unsupported format, corrupt manifest/archive:
-            # report and keep loading the rest of the fleet.
-            skipped.append(f"{name} ({exc})")
-    warn_skipped_pipelines(root, skipped)
+    skipped = []
+    for name in sorted(os.listdir(root)):
+        directory = os.path.join(root, name)
+        if not os.path.isdir(directory):
+            skipped.append(f"{name} (not a directory)")
+        elif not os.path.isfile(os.path.join(directory, MANIFEST_NAME)):
+            skipped.append(f"{name} (no {MANIFEST_NAME})")
+        else:
+            try:
+                pipelines[name] = load_estimator(directory)
+            except (KeyError, ValueError, OSError, ModelIntegrityError) as exc:
+                skipped.append(f"{name} ({exc})")
+    if skipped:
+        warnings.warn(
+            f"load_pipelines skipped {len(skipped)} "
+            f"entr{'y' if len(skipped) == 1 else 'ies'} under {root!r}: "
+            + ", ".join(skipped),
+            UserWarning,
+            stacklevel=2,
+        )
     return pipelines

@@ -19,7 +19,6 @@ from .ensemble import (
     train_ensemble_parallel,
 )
 from .localization import CamAL, LocalizationOutput, localize_double_forward
-from .persistence import load_pipelines, save_pipelines
 from .report import (
     Activation,
     ApplianceReport,
@@ -61,8 +60,6 @@ __all__ = [
     "localize_double_forward",
     "estimate_power",
     "estimate_power_adaptive",
-    "save_pipelines",
-    "load_pipelines",
     "Activation",
     "ApplianceReport",
     "analyze_series",

@@ -58,7 +58,7 @@ def normalize_cam(cam: np.ndarray, eps: float = 1e-8) -> np.ndarray:
 
     The paper divides each CAM by its maximum value.  When the maximum is
     not positive (appliance absent or a degenerate map), dividing would
-    flip signs, so we return zeros for those windows instead (DESIGN.md §5).
+    flip signs, so we return zeros for those windows instead.
     Values below zero after scaling are kept (they encode "evidence
     against" and are suppressed by the downstream sigmoid attention).
     """

@@ -46,7 +46,6 @@ from .store import (
     STORE_FORMAT_VERSION,
     ShardCorruptionError,
     StoreIntegrityError,
-    shard_checksum,
     write_household_shards,
     write_manifest,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "repair_household_from_source",
     "write_household_shards",
     "write_manifest",
-    "shard_checksum",
     "StoreIntegrityError",
     "ManifestError",
     "ShardCorruptionError",

@@ -37,10 +37,8 @@ and serving never need the original corpus again.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -48,6 +46,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis import faults, sanitize
+from ..nn.serialization import checksum, write_atomic
 
 #: On-disk manifest schema version.
 STORE_FORMAT_VERSION = 1
@@ -87,45 +86,18 @@ class ShardCorruptionError(StoreIntegrityError):
         self.reason = reason
 
 
-def shard_checksum(payload: bytes) -> str:
-    """Checksum used for shard payloads (blake2b-128 hex)."""
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
-
-
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` atomically (tmp file + rename).
-
-    The ``store.shard_write`` fault point covers shard payloads only: a
-    torn *manifest* is a crashed ingest (the manifest is written last, so
-    the store simply never becomes readable), while a torn *shard* under
-    an intact manifest is the silent-corruption case the checksums exist
-    to catch.
-    """
-    if faults.ACTIVE is not None and not path.endswith(MANIFEST_NAME):
-        payload = faults.ACTIVE.fire(
-            "store.shard_write", token=os.path.basename(path), payload=payload
-        )
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_manifest(store_dir: str, manifest: Dict) -> None:
     """Atomically persist the store manifest.
 
     The manifest is written **last** during ingest, so a directory with a
     readable manifest always describes a complete set of shards — a
-    crashed ingest leaves no half-valid store behind.
+    crashed ingest leaves no half-valid store behind.  That is also why
+    the ``store.shard_write`` fault point covers shards only: a torn
+    manifest is a crashed ingest, while a torn shard under an intact
+    manifest is the silent corruption the checksums exist to catch.
     """
     payload = json.dumps(manifest, indent=2, sort_keys=False).encode()
-    _atomic_write_bytes(os.path.join(store_dir, MANIFEST_NAME), payload)
+    write_atomic(os.path.join(store_dir, MANIFEST_NAME), payload)
 
 
 def write_household_shards(
@@ -160,14 +132,15 @@ def write_household_shards(
     matrix = _stack_household_matrix(names, channels, mask)
 
     house_dir = os.path.join(store_dir, _SHARDS_DIR, house_id)
-    os.makedirs(house_dir, exist_ok=True)
     n_shards = max(1, -(-n // shard_length))  # ceil; at least one shard
-    checksums = []
-    for k in range(n_shards):
-        payload = _shard_payload(matrix, k, shard_length, n)
-        _atomic_write_bytes(os.path.join(house_dir, f"{k:05d}.f32"), payload)
-        checksums.append(shard_checksum(payload))
-    return checksums
+    return [
+        write_atomic(
+            os.path.join(house_dir, f"{k:05d}.f32"),
+            _shard_payload(matrix, k, shard_length, n),
+            fault_point="store.shard_write",
+        )
+        for k in range(n_shards)
+    ]
 
 
 def _stack_household_matrix(
@@ -427,7 +400,7 @@ class MeterStore:
             )
         if meta.checksums is not None and self._verified.get(key) != signature:
             with open(path, "rb") as handle:
-                digest = shard_checksum(handle.read())
+                digest = checksum(handle.read())
             if digest != meta.checksums[shard]:
                 raise ShardCorruptionError(
                     house_id, shard,
@@ -541,7 +514,7 @@ class MeterStore:
             return f"truncated: {signature[1]} bytes on disk, expected {expected}"
         if meta.checksums is not None:
             with open(path, "rb") as handle:
-                digest = shard_checksum(handle.read())
+                digest = checksum(handle.read())
             if digest != meta.checksums[shard]:
                 return (
                     f"checksum mismatch: manifest records "
@@ -640,9 +613,9 @@ class MeterStore:
             names, sliced, np.asarray(mask, dtype=bool)[start:stop]
         )
         payload = _shard_payload(matrix, 0, length, stop - start)
-        os.makedirs(os.path.dirname(self.shard_path(house_id, shard)), exist_ok=True)
-        _atomic_write_bytes(self.shard_path(house_id, shard), payload)
-        digest = shard_checksum(payload)
+        digest = write_atomic(
+            self.shard_path(house_id, shard), payload, fault_point="store.shard_write"
+        )
         entry = self.manifest["households"][house_id]
         if entry.get("checksums") is not None:
             checksums = list(entry["checksums"])

@@ -1,6 +1,6 @@
 """``repro.experiments`` — runners regenerating every table and figure.
 
-Mapping (see DESIGN.md §4):
+Paper table or figure -> runner:
 
 * Table II  -> :mod:`repro.experiments.complexity`
 * Table III -> :mod:`repro.experiments.weak_table`

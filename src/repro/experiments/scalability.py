@@ -175,6 +175,32 @@ class ThroughputResult:
         return "\n".join(lines)
 
 
+#: Timed calls per method and input length; the fastest one counts.
+_THROUGHPUT_REPEATS = 5
+
+
+def _inference_call(method: str, preset: Preset, seed: int):
+    """``method``'s full inference path as a ``fn(windows)`` callable.
+
+    CamAL's includes the ensemble forward passes plus CAM extraction and
+    the attention module (every window counts as detected).
+    """
+    from ..core import CamAL, ResNetEnsemble
+    from ..core.resnet import ResNetConfig, ResNetTSC
+
+    if method == "CamAL":
+        models = [
+            ResNetTSC(ResNetConfig(kernel_size=k, filters=preset.resnet_filters))
+            for k in preset.kernel_set[: preset.n_models]
+        ]
+        for model in models:
+            model.eval()
+        return CamAL(ResNetEnsemble(models), detection_threshold=-1.0).localize
+    model = api.create(method, scale=preset.baseline_scale, seed=seed).network
+    model.eval()
+    return lambda x: predict_status_seq2seq(model, x)
+
+
 def run_throughput(
     preset: Preset,
     input_lengths: Sequence[int],
@@ -182,14 +208,13 @@ def run_throughput(
     n_windows: int = 32,
     seed: int = 0,
 ) -> ThroughputResult:
-    """Measure forward-pass throughput per method and input length (7c).
+    """Measure warm inference throughput per method and input length (7c).
 
-    CamAL's measurement includes its full inference path: ensemble forward
-    passes plus CAM extraction and the attention module.
+    Each method first gets one untimed call, which is where CamAL traces
+    and validates its execution plan; then the fastest of
+    ``_THROUGHPUT_REPEATS`` calls counts, with the methods interleaved so
+    machine drift hits them alike.
     """
-    from ..core import CamAL, ResNetEnsemble
-    from ..core.resnet import ResNetConfig, ResNetTSC
-
     methods = list(
         methods or ["CamAL", "CRNN-weak", "CRNN", "BiGRU", "UNet-NILM", "TPNILM", "TransNILM"]
     )
@@ -197,25 +222,15 @@ def run_throughput(
     series: Dict[str, List[Tuple[int, float]]] = {m: [] for m in methods}
     for length in input_lengths:
         x = rng.random((n_windows, length)).astype(np.float32)
+        calls = {method: _inference_call(method, preset, seed) for method in methods}
+        for call in calls.values():
+            call(x)
+        best = dict.fromkeys(methods, float("inf"))
+        for _ in range(_THROUGHPUT_REPEATS):
+            for method, call in calls.items():
+                start = time.perf_counter()
+                call(x)
+                best[method] = min(best[method], time.perf_counter() - start)
         for method in methods:
-            if method == "CamAL":
-                models = [
-                    ResNetTSC(ResNetConfig(kernel_size=k, filters=preset.resnet_filters))
-                    for k in preset.kernel_set[: preset.n_models]
-                ]
-                camal = CamAL(ResNetEnsemble(models), detection_threshold=-1.0)
-                for model in models:
-                    model.eval()
-                start = time.perf_counter()
-                camal.localize(x)
-                elapsed = time.perf_counter() - start
-            else:
-                model = api.create(
-                    method, scale=preset.baseline_scale, seed=seed
-                ).network
-                model.eval()
-                start = time.perf_counter()
-                predict_status_seq2seq(model, x)
-                elapsed = time.perf_counter() - start
-            series[method].append((length, n_windows / max(elapsed, 1e-9)))
+            series[method].append((length, n_windows / max(best[method], 1e-9)))
     return ThroughputResult(series=series)

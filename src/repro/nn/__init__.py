@@ -3,7 +3,8 @@
 This package replaces PyTorch for the CamAL reproduction: reverse-mode
 autodiff (:mod:`repro.nn.tensor`), fused NN primitives
 (:mod:`repro.nn.functional`), layers/modules, optimizers, data loading and
-serialization.  See DESIGN.md §2 for the substitution rationale.
+serialization.  The reproduction depends on NumPy alone, so the paper's
+PyTorch models are rebuilt on this substrate.
 """
 
 from . import backend, functional, plan

@@ -255,8 +255,7 @@ class InferenceEngine:
         """Load any persisted estimator directory and register it.
 
         Dispatches through :func:`repro.api.persistence.load_estimator`,
-        so both CamAL's format-1 manifests and generic format-2 manifests
-        (baseline adapters) serve transparently.  With ``warm`` (the
+        so CamAL and every baseline adapter serve alike.  With ``warm`` (the
         default) the engine immediately pushes one batch of zeros through
         the new pipeline so the plan layer traces its execution plan
         *now*, not on the first real request.

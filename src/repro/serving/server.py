@@ -107,13 +107,6 @@ class ServeConfig:
     #: Master switch for cross-request micro-batch coalescing; off means
     #: every request is its own forward call (the A/B the benchmark runs).
     coalesce: bool = True
-    #: Zero-pad each stacked batch up to the next power of two before the
-    #: forward.  Traced eval plans are keyed on batch signature and pay a
-    #: trace on first sight; coalescing produces a different row count
-    #: per cohort, so without bucketing a daemon keeps re-tracing instead
-    #: of replaying.  Bit-exact: rows are independent through the whole
-    #: stack, and pad rows are sliced off before stitching.
-    bucket_batches: bool = True
     #: Pre-trace the bucket ladder (1, 2, 4, ... up to
     #: ``max_batch_windows``) for every appliance at :meth:`ServingDaemon.
     #: start`, so no live request ever pays a first-trace stall.  Off is
@@ -287,18 +280,21 @@ class _Coalescer(threading.Thread):
             stacked = batch[0].windows
         else:
             stacked = np.concatenate([item.windows for item in batch], axis=0)
-        if self.config.bucket_batches:
-            bucket = 1 << (n_windows - 1).bit_length()  # next power of two
-            if bucket > n_windows:
-                stacked = np.concatenate(
-                    [
-                        stacked,
-                        np.zeros(
-                            (bucket - n_windows, stacked.shape[1]), dtype=np.float32
-                        ),
-                    ],
-                    axis=0,
-                )
+        # Zero-pad to the next power of two.  Traced eval plans are keyed
+        # on batch signature and pay a trace on first sight; coalescing
+        # produces a different row count per cohort, so without buckets a
+        # daemon keeps re-tracing instead of replaying.  Bit-exact: rows
+        # are independent through the whole stack, and pad rows are
+        # sliced off before stitching.
+        bucket = 1 << (n_windows - 1).bit_length()
+        if bucket > n_windows:
+            stacked = np.concatenate(
+                [
+                    stacked,
+                    np.zeros((bucket - n_windows, stacked.shape[1]), dtype=np.float32),
+                ],
+                axis=0,
+            )
         try:
             if len(batch) > 1 and faults.ACTIVE is not None:
                 faults.ACTIVE.fire("serve.coalesce")
@@ -480,7 +476,7 @@ class ServingDaemon:
             raise RuntimeError("daemon already started")
         if not self.engine.pipelines:
             raise RuntimeError("refusing to serve an engine with no pipelines")
-        if self.config.warm_start and self.config.bucket_batches:
+        if self.config.warm_start:
             self._warm_buckets()
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

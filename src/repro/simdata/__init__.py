@@ -3,7 +3,7 @@
 Replaces the UK-DALE / REFIT / IDEAL / EDF recordings (unavailable offline)
 with a parametric household simulator whose corpora match the papers' house
 counts, sampling rates, bounded forward-fill budgets, ON-power thresholds
-and average powers (Table I).  See DESIGN.md §2.
+and average powers (Table I).
 """
 
 from .appliances import APPLIANCES, ApplianceSpec, get_spec

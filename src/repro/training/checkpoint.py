@@ -11,10 +11,11 @@ to continue as if it had never stopped:
 * the loss histories and the early-stopping bookkeeping (best state,
   best epoch, bad-epoch counter).
 
-Checkpoints are single ``.npz`` archives written atomically (tmp file +
-``os.replace``), so a run killed mid-write still leaves the previous
-checkpoint intact.  Array payloads live as npz entries; scalar state,
-histories and RNG states travel in one JSON header entry.
+Checkpoints are single ``.npz`` archives written atomically
+(:func:`repro.nn.serialization.write_atomic`), so a run killed mid-write
+still leaves the previous checkpoint intact.  Array payloads live as npz
+entries; scalar state, histories and RNG states travel in one JSON
+header entry.
 
 Durability on top of atomicity: every save keeps the last *k* snapshots
 (``path``, ``path.1``, …, newest first; ``k`` from ``REPRO_CKPT_KEEP``,
@@ -29,7 +30,6 @@ the run.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -41,6 +41,7 @@ import numpy as np
 
 from ..analysis import faults
 from ..nn.modules import Module
+from ..nn.serialization import checksum, write_atomic
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -72,10 +73,6 @@ def _resolve_keep(keep: Optional[int]) -> int:
 def _rotated_path(path: str, generation: int) -> str:
     """``path`` for the newest snapshot, ``path.N`` for older generations."""
     return path if generation == 0 else f"{path}.{generation}"
-
-
-def _checkpoint_digest(payload: bytes) -> str:
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
 @dataclass
@@ -223,14 +220,14 @@ def save_checkpoint(
     data = buffer.getvalue()
     # The sidecar records the digest of the *intended* bytes, so a torn
     # or bit-flipped write (injected below, or real) is provable on load.
-    digest = _checkpoint_digest(data)
+    # The fault fires before rotation: an injected exception leaves every
+    # older generation where it was.
+    digest = checksum(data)
     if faults.ACTIVE is not None:
         data = faults.ACTIVE.fire(
             "train.checkpoint_write", token=os.path.basename(path), payload=data
         )
 
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     keep = _resolve_keep(keep)
     # Rotate newest -> oldest so generation N-1 lands on N; archives and
     # sidecars move together.  Stale generations beyond ``keep`` (from an
@@ -252,14 +249,8 @@ def save_checkpoint(
             os.unlink(stale_sum)
         generation += 1
 
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp_path, path)
-    sum_tmp = path + _CHECKSUM_SUFFIX + ".tmp"
-    with open(sum_tmp, "w") as handle:
-        handle.write(digest + "\n")
-    os.replace(sum_tmp, path + _CHECKSUM_SUFFIX)
+    write_atomic(path, data)
+    write_atomic(path + _CHECKSUM_SUFFIX, (digest + "\n").encode())
 
 
 def checkpoint_exists(path: Optional[str]) -> bool:
@@ -279,7 +270,7 @@ def _verify_checkpoint_bytes(path: str) -> None:
     with open(sum_path) as handle:
         expected = handle.read().strip()
     with open(path, "rb") as handle:
-        actual = _checkpoint_digest(handle.read())
+        actual = checksum(handle.read())
     if actual != expected:
         raise CheckpointCorruptionError(
             f"{path}: checkpoint bytes hash to {actual}, sidecar records "

@@ -273,13 +273,3 @@ class TestGenericPipelines:
         with pytest.warns(UserWarning, match="skipped 1"):
             loaded = api.load_pipelines(str(tmp_path))
         assert set(loaded) == {"kettle"}
-
-    def test_legacy_core_loader_skips_format2_directories(self, tmp_path):
-        from repro.core import load_pipelines as core_load_pipelines
-
-        api.save_pipelines(
-            {"kettle": _fitted("camal"), "ev": _fitted("tpnilm")}, str(tmp_path)
-        )
-        with pytest.warns(UserWarning, match="skipped 1"):
-            loaded = core_load_pipelines(str(tmp_path))
-        assert set(loaded) == {"kettle"}

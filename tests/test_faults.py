@@ -29,9 +29,8 @@ from repro.core import (
     ResNetConfig,
     ResNetEnsemble,
     ResNetTSC,
-    load_pipelines,
-    save_pipelines,
 )
+from repro.api import load_pipelines, save_pipelines
 from repro.data import (
     IngestConfig,
     ManifestError,
@@ -39,8 +38,8 @@ from repro.data import (
     ShardCorruptionError,
     ingest_corpus,
     repair_household_from_source,
-    shard_checksum,
 )
+from repro.nn.serialization import checksum as shard_checksum
 from repro.serving import (
     EngineConfig,
     InferenceEngine,

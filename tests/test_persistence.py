@@ -1,4 +1,4 @@
-"""Tests for CamAL pipeline persistence (save/load round trips).
+"""Tests for model persistence: round trips, the manifest, integrity.
 
 The entry points are the generic :func:`repro.api.save_estimator` /
 :func:`repro.api.load_estimator`.
@@ -10,8 +10,18 @@ import os
 import numpy as np
 import pytest
 
-from repro.api import CamALLocalizer, load_estimator, save_estimator
+from repro import api
+from repro.api import (
+    CamALLocalizer,
+    ModelIntegrityError,
+    load_estimator,
+    load_pipelines,
+    save_estimator,
+    save_pipelines,
+)
 from repro.core import CamAL, ResNetConfig, ResNetEnsemble, ResNetTSC
+from repro.nn.serialization import checksum
+from repro.training import TrainConfig
 
 
 @pytest.fixture()
@@ -64,20 +74,15 @@ class TestRoundTrip:
         save_estimator(camal, str(tmp_path))
         with open(tmp_path / "manifest.json") as handle:
             manifest = json.load(handle)
-        assert manifest["format_version"] == 1
+        assert manifest["format_version"] == 3
         assert manifest["model"] == "camal"
-        assert len(manifest["members"]) == 2
-        assert manifest["members"][0]["kernel_size"] == 3
-
-    def test_manifest_without_model_key_still_loads(self, camal, tmp_path):
-        """Directories written before the registry (no ``model`` key) load
-        as CamAL."""
-        save_estimator(camal, str(tmp_path))
-        path = tmp_path / "manifest.json"
-        manifest = json.loads(path.read_text())
-        del manifest["model"]
-        path.write_text(json.dumps(manifest))
-        assert isinstance(load_estimator(str(tmp_path)), CamALLocalizer)
+        assert manifest["config"]["use_attention"] is True
+        members = manifest["config"]["members"]
+        assert len(members) == 2
+        assert members[0]["kernel_size"] == 3
+        assert set(manifest["files"]) == {"member_0.npz", "member_1.npz"}
+        for name, digest in manifest["files"].items():
+            assert checksum((tmp_path / name).read_bytes()) == digest
 
 
 class TestErrors:
@@ -98,3 +103,54 @@ class TestErrors:
         target = tmp_path / "nested" / "dir"
         save_estimator(camal, str(target))
         assert load_estimator(str(target)) is not None
+
+
+def _flip_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+class TestIntegrity:
+    """Every archive is checked against its manifest checksum before it
+    is deserialized; the bytes are corrupted on disk after saving."""
+
+    def test_flipped_camal_member_raises(self, camal, tmp_path):
+        save_estimator(camal, str(tmp_path))
+        _flip_byte(tmp_path / "member_1.npz")
+        with pytest.raises(ModelIntegrityError, match="member_1.npz"):
+            load_estimator(str(tmp_path))
+
+    def test_flipped_baseline_archive_raises(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x = rng.random((8, 32)).astype(np.float32)
+        status = (rng.random((8, 32)) > 0.5).astype(np.float32)
+        est = api.create(
+            "tpnilm", scale="tiny", train=TrainConfig(epochs=1, batch_size=8)
+        ).fit(x, status)
+        save_estimator(est, str(tmp_path))
+        _flip_byte(tmp_path / "network.npz")
+        with pytest.raises(ModelIntegrityError, match="network.npz"):
+            load_estimator(str(tmp_path))
+
+    def test_truncated_archive_raises(self, camal, tmp_path):
+        save_estimator(camal, str(tmp_path))
+        path = tmp_path / "member_0.npz"
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(ModelIntegrityError, match="member_0.npz"):
+            load_estimator(str(tmp_path))
+
+    def test_deleted_archive_raises(self, camal, tmp_path):
+        save_estimator(camal, str(tmp_path))
+        (tmp_path / "member_0.npz").unlink()
+        with pytest.raises(ModelIntegrityError, match="member_0.npz: archive missing"):
+            load_estimator(str(tmp_path))
+
+    def test_fleet_skips_and_reports_the_corrupt_model(self, camal, tmp_path):
+        save_pipelines({"kettle": camal, "oven": camal}, str(tmp_path))
+        _flip_byte(tmp_path / "oven" / "member_1.npz")
+        with pytest.warns(UserWarning, match=r"skipped 1 .*oven .*member_1\.npz"):
+            loaded = load_pipelines(str(tmp_path))
+        assert set(loaded) == {"kettle"}
+        x = np.random.default_rng(1).random((3, 32)).astype(np.float32)
+        assert np.array_equal(loaded["kettle"].localize(x).status, camal.localize(x).status)

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import save_estimator
+from repro.api import load_pipelines, save_estimator, save_pipelines
 from repro.core import (
     CamAL,
     ResNetConfig,
     ResNetEnsemble,
     ResNetTSC,
-    load_pipelines,
     localize_double_forward,
-    save_pipelines,
 )
 from repro.core.resnet import ResNetTSC as _ResNetTSC
 from repro.serving import (

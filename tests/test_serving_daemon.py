@@ -20,9 +20,8 @@ from repro.core import (
     ResNetConfig,
     ResNetEnsemble,
     ResNetTSC,
-    load_pipelines,
-    save_pipelines,
 )
+from repro.api import load_pipelines, save_pipelines
 from repro.data import IngestConfig, ingest_corpus
 from repro.serving import (
     EngineConfig,

@@ -2,7 +2,7 @@
 
 These guard the *difficulty ordering* that drives the paper's results:
 short low-power appliances must stay rare and hard, long high-power
-appliances frequent enough to learn from (DESIGN.md §2).
+appliances frequent enough to learn from.
 """
 
 import numpy as np
