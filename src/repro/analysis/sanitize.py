@@ -18,8 +18,9 @@ any of them fail loudly instead of silently corrupting a score:
   :class:`PlanSanitizeError` *naming the offending step* when a step reads
   a slot after its release (use-after-release), reads a slot no step has
   written since it was handed out (read before write), or writes a
-  released slot (cross-slot aliasing).  Released slots are poison-filled
-  too;
+  released slot (cross-slot aliasing), and when the two lanes of a lane
+  step touch the same memory with at least one writing it (a race).
+  Released slots are poison-filled too;
 * **read-only store views** — :func:`freeze` flips the writeable flag off
   on windows served by :mod:`repro.data`, so a kernel writing into a store
   view raises ``ValueError`` at the offending statement.
@@ -38,6 +39,7 @@ snapshot the flag when constructed.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -224,7 +226,10 @@ class PlanTracker:
       and a fresh one holds whatever the allocator left.  Slots the caller
       fills before every run (``PlanBuilder.input``) count as written;
     * a step writing a slot in the free list is **cross-slot aliasing**
-      (the write will corrupt whatever logical buffer recycles the slot).
+      (the write will corrupt whatever logical buffer recycles the slot);
+    * in a lane step (``PlanBuilder.emit_lanes``), a lane writing memory
+      the other lane reads or writes is a **race between lanes**: the
+      lanes run at the same time, so the bits depend on the timing.
 
     Views are resolved to their owning slot through ``.base``, so reads
     and writes may be declared with the exact (possibly reshaped/sliced)
@@ -270,6 +275,33 @@ class PlanTracker:
         writes: Sequence[np.ndarray],
     ) -> None:
         _STATS["plan_checks"] += 1
+        self._check_reads(label, reads)
+        self._check_writes(label, writes)
+
+    def on_emit_lanes(
+        self,
+        label: str,
+        reads: Sequence[Sequence[np.ndarray]],
+        writes: Sequence[Sequence[np.ndarray]],
+    ) -> None:
+        """Check a lane step: every lane as :meth:`on_emit` checks a step,
+        then every lane's writes against the other lanes' reads and writes
+        (exact overlap of the bytes, not just of the owning slot)."""
+        _STATS["plan_checks"] += 1
+        for lane_reads in reads:
+            self._check_reads(label, lane_reads)
+        for i, j in itertools.permutations(range(len(writes)), 2):
+            for kind, others in (("writes", writes[j]), ("reads", reads[j])):
+                if any(np.shares_memory(a, b) for a in writes[i] for b in others):
+                    raise PlanSanitizeError(
+                        f"plan step {label!r}: lane {i} writes memory lane {j} "
+                        f"{kind} — the lanes run at the same time, so they race"
+                    )
+        for lane_writes in writes:
+            self._check_writes(label, lane_writes)
+
+    # -- internals ---------------------------------------------------------
+    def _check_reads(self, label: str, reads: Sequence[np.ndarray]) -> None:
         for arr in reads:
             state = self._resolve(arr)
             if state is None:
@@ -288,6 +320,9 @@ class PlanTracker:
                     " — read before write"
                     + (" (stale read through a recycled slot)" if state.generation else "")
                 )
+
+    def _check_writes(self, label: str, writes: Sequence[np.ndarray]) -> None:
+        """Flag writes to released slots; mark every written slot written."""
         for arr in writes:
             state = self._resolve(arr)
             if state is None:
@@ -301,7 +336,6 @@ class PlanTracker:
                 )
             state.writer_generation = state.generation
 
-    # -- internals ---------------------------------------------------------
     def _resolve(self, arr: np.ndarray) -> Optional[_SlotState]:
         node: Optional[np.ndarray] = arr
         while node is not None:

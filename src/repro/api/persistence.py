@@ -4,7 +4,7 @@ A saved estimator is a directory holding ``manifest.json`` plus one or
 more ``.npz`` weight archives::
 
     {
-      "format_version": 3,
+      "format_version": 4,
       "model": "crnn",            # registry name -> class + config type
       "supervision": "strong",
       "config": {...},            # the model's config-dataclass fields
@@ -12,7 +12,8 @@ more ``.npz`` weight archives::
       "status_threshold": 0.5,
       "power_gate_watts": null,
       "n_labels": 1280,
-      "files": {"network.npz": "<blake2b-128 hex>"}
+      "files": {"network.npz": "<blake2b-128 hex>"},
+      "checksum": "<blake2b-128 hex>"   # of every other field
     }
 
 CamAL's ``config`` holds ``use_attention`` and the ensemble's
@@ -21,10 +22,13 @@ CamAL's ``config`` holds ``use_attention`` and the ensemble's
 ends, and the members are what a reload rebuilds.
 
 Every file goes through :func:`repro.nn.serialization.write_atomic`, the
-manifest last.  :func:`load_estimator` checks each archive against its
-recorded checksum before deserializing it, so a missing, torn or flipped
-archive raises :class:`ModelIntegrityError`; :func:`load_pipelines`
-skips and reports such a directory and loads the rest of the fleet.
+manifest last.  The manifest's ``checksum`` covers its other fields as
+canonical JSON (sorted keys, no whitespace), and each archive's entry in
+``files`` covers that archive.  :func:`load_estimator` checks both before
+building anything, so an edited manifest field or a missing, torn or
+flipped archive raises :class:`ModelIntegrityError`;
+:func:`load_pipelines` skips and reports such a directory and loads the
+rest of the fleet.
 """
 
 from __future__ import annotations
@@ -44,13 +48,19 @@ from .adapters import CamALLocalizer, Seq2SeqLocalizer
 from .base import NotFittedError, WeakLocalizer
 from .registry import get_entry
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 MANIFEST_NAME = "manifest.json"
 _WEIGHTS_NAME = "network.npz"
 
 
 class ModelIntegrityError(RuntimeError):
-    """A saved model's archive is missing or fails its manifest checksum."""
+    """A saved model's manifest or archive fails its checksum, or an
+    archive is missing."""
+
+
+def _manifest_checksum(entries: Dict) -> str:
+    """Checksum of manifest fields as canonical JSON."""
+    return checksum(json.dumps(entries, sort_keys=True, separators=(",", ":")).encode())
 
 
 def _config_from_fields(config_cls: type, stored: Dict) -> object:
@@ -104,6 +114,7 @@ def save_estimator(estimator, directory: str) -> None:
             for name, module in modules.items()
         },
     }
+    manifest["checksum"] = _manifest_checksum(manifest)
     payload = json.dumps(manifest, indent=2).encode()
     write_atomic(os.path.join(directory, MANIFEST_NAME), payload)
 
@@ -140,6 +151,13 @@ def load_estimator(directory: str) -> WeakLocalizer:
         raise ValueError(
             f"unsupported manifest format_version {version!r} "
             f"(expected {MODEL_FORMAT_VERSION})"
+        )
+    recorded = manifest.pop("checksum", None)
+    digest = _manifest_checksum(manifest)
+    if digest != recorded:
+        raise ModelIntegrityError(
+            f"{manifest_path}: checksum mismatch: manifest records {recorded}, "
+            f"its fields hash to {digest}"
         )
 
     entry = get_entry(manifest["model"])

@@ -31,7 +31,9 @@ plans of every batch size; a replay performs **zero** new large
 allocations — only the O(C_out) fold temporaries.  A conv group whose
 im2col columns would exceed :data:`COLUMN_BUDGET_BYTES` gathers and
 multiplies tile by tile, so the columns never outgrow the cache however
-large the batch.  Plans are compiled
+large the batch; in a two-lane trace (:func:`repro.nn.plan.plan_lanes`)
+its tiles run as one :class:`~repro.nn.plan.LaneStep`, split between the
+replaying thread and a helper thread.  Plans are compiled
 for the ``im2col`` kernel only: under ``reference`` (the ground-truth
 kernel) :func:`compile_ensemble_plan` raises :class:`PlanUnsupported`,
 so the ensemble runs its member loop with reference numerics and counts
@@ -57,7 +59,7 @@ than serving.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,6 +173,40 @@ def _gather(cols5: np.ndarray, src: np.ndarray, kernel: int, l_out: int,
         )
 
 
+def _gemm_shift(w: np.ndarray, cols: np.ndarray, out: np.ndarray,
+                shift: np.ndarray, relu: bool) -> None:
+    """One tile's GEMM and epilogue: ``out = w @ cols + shift``, then ReLU."""
+    np.matmul(w, cols, out=out)
+    out += shift[:, :, None]
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+
+def _conv_tile(gather: Callable[[], None], *gemm_args) -> None:
+    """A lane task: one tile's gather, GEMM and epilogue."""
+    gather()
+    _gemm_shift(*gemm_args)
+
+
+def _count_gemms(n: int) -> None:
+    """Count a lane step's ``n`` tiles on the replaying thread, once both
+    lanes are done (the counters are not thread-safe)."""
+    counters.record("fused_conv_calls", n)
+    counters.record("fused_conv_gemms", n)
+
+
+def _balance(sizes: Sequence[int], lanes: int) -> List[int]:
+    """The lane of each tile: largest first, each to the lane with the
+    fewest columns so far (ties to the lower lane)."""
+    lane_of = [0] * len(sizes)
+    load = [0] * lanes
+    for i in sorted(range(len(sizes)), key=lambda t: -sizes[t]):
+        lane = load.index(min(load))
+        lane_of[i] = lane
+        load[lane] += sizes[i]
+    return lane_of
+
+
 def _emit_conv_group(
     builder: PlanBuilder,
     group: Sequence[Tuple[object, Optional[object]]],
@@ -186,7 +222,11 @@ def _emit_conv_group(
 
     One gather + GEMM + epilogue when the group's columns fit
     :data:`COLUMN_BUDGET_BYTES`; otherwise one per member and tile of
-    windows whose columns fit.
+    windows whose columns fit.  When the trace has two lanes
+    (``builder.lanes``), such a group's tiles share the budget, half of
+    it per lane's column tile, and run as one lane step: the tiles are
+    dealt largest first, each to the lane with fewer columns so far, and
+    each is gathered into its own lane's column tile.
     """
     conv0 = group[0][0]
     kernel, pad = conv0.kernel_size, conv0.padding
@@ -211,6 +251,7 @@ def _emit_conv_group(
     # gathers its columns once for every member.
     window_bytes = c_in * kernel * l_out * np.dtype(DTYPE).itemsize
     tiled = gathered and (1 if shared else gm) * window_bytes * n > COLUMN_BUDGET_BYTES
+    lanes = builder.lanes if tiled else 1
     # Tiles are per member: a tile of the whole group would hold fewer
     # windows, and a GEMM over fewer columns re-packs its weights more
     # often per column (measured slower at paper width).
@@ -218,53 +259,76 @@ def _emit_conv_group(
     mi = 1 if shared else m_step
     w_step = n
     if tiled:
-        w_step = min(n, max(1, COLUMN_BUDGET_BYTES // (mi * window_bytes)))
-    cols = builder.buffer((mi, c_in * kernel, w_step * l_out)) if gathered else None
+        w_step = min(n, max(1, COLUMN_BUDGET_BYTES // lanes // (mi * window_bytes)))
     flat_out = act_out[g0:g1].reshape(gm, c_out, n * l_out)
+    tiles = [(a, w0, min(n, w0 + w_step)) for a in range(0, gm, m_step)
+             for w0 in range(0, n, w_step)]
 
-    for a in range(0, gm, m_step):
+    def tile_parts(a, w0, w1, cols):
+        """(gather step or None, the source it reads, GEMM arguments, tag)."""
         b = a + m_step
         src = x_src[:1] if shared else x_src[g0 + a : g0 + b]
-        for w0 in range(0, n, w_step):
-            w1 = min(n, w0 + w_step)
-            tag = f"m{g0 + a}:{g0 + b}" + (f",w{w0}:{w1}" if tiled else "")
-            if gathered:
-                # The last tile may be narrower: a contiguous prefix of the slot.
-                tile = cols.reshape(-1)[: mi * c_in * kernel * (w1 - w0) * l_out]
-                tile_cols = tile.reshape(mi, c_in * kernel, (w1 - w0) * l_out)
-                tile_src = src[:, :, w0:w1]
-                builder.emit(
-                    functools.partial(
-                        _gather, tile.reshape(mi, c_in, kernel, w1 - w0, l_out),
-                        tile_src, kernel, l_out, stride, pad, length,
-                    ),
-                    label=f"im2col[{tag}]",
-                    reads=(tile_src,),
-                    writes=(tile_cols,),
-                )
-            else:
-                # The input *is* the column block: (mi, C_in*1, N*L).
-                tile_cols = src.reshape(mi, c_in, n * l_out)
-            out_view = flat_out[a:b, :, w0 * l_out : w1 * l_out]
+        tag = f"m{g0 + a}:{g0 + b}" + (f",w{w0}:{w1}" if tiled else "")
+        gather = None
+        if gathered:
+            # A narrower tile is a contiguous prefix of the column slot.
+            tile = cols.reshape(-1)[: mi * c_in * kernel * (w1 - w0) * l_out]
+            src = src[:, :, w0:w1]
+            gather = functools.partial(
+                _gather, tile.reshape(mi, c_in, kernel, w1 - w0, l_out),
+                src, kernel, l_out, stride, pad, length,
+            )
+            tile_cols = tile.reshape(mi, c_in * kernel, (w1 - w0) * l_out)
+        else:
+            # The input *is* the column block: (mi, C_in*1, N*L).
+            tile_cols = src.reshape(mi, c_in, n * l_out)
+        out_view = flat_out[a:b, :, w0 * l_out : w1 * l_out]
+        return gather, src, (w_stack[a:b], tile_cols, out_view, shift_stack[a:b], relu), tag
 
-            def gemm_step(w=w_stack[a:b], c=tile_cols, o=out_view,
-                          s=shift_stack[a:b], r=relu):
-                np.matmul(w, c, out=o)
+    if lanes == 1:
+        cols = builder.buffer((mi, c_in * kernel, w_step * l_out)) if gathered else None
+        for a, w0, w1 in tiles:
+            gather, tile_src, gemm_args, tag = tile_parts(a, w0, w1, cols)
+            if gather is not None:
+                builder.emit(
+                    gather, label=f"im2col[{tag}]", reads=(tile_src,), writes=(gemm_args[1],)
+                )
+
+            def gemm_step(args=gemm_args):
+                _gemm_shift(*args)
                 counters.record("fused_conv_calls")
                 counters.record("fused_conv_gemms")
-                o += s[:, :, None]
-                if r:
-                    np.maximum(o, 0.0, out=o)
 
             builder.emit(
                 gemm_step,
                 label=f"gemm[{tag}]",
-                reads=(tile_cols, w_stack, shift_stack),
-                writes=(out_view,),
+                reads=(gemm_args[1], w_stack, shift_stack),
+                writes=(gemm_args[2],),
             )
+        lane_cols = [cols] if gathered else []
+    else:
+        lane_of = _balance([w1 - w0 for _, w0, w1 in tiles], lanes)
+        by_lane = [[t for t, on in zip(tiles, lane_of) if on == lane] for lane in range(lanes)]
+        lane_cols = [
+            builder.buffer((mi, c_in * kernel, max(w1 - w0 for _, w0, w1 in mine) * l_out))
+            for mine in by_lane
+        ]
+        parts = [
+            [tile_parts(a, w0, w1, cols) for a, w0, w1 in mine]
+            for mine, cols in zip(by_lane, lane_cols)
+        ]
+        builder.emit_lanes(
+            [[functools.partial(_conv_tile, gather, *args) for gather, _, args, _ in lane]
+             for lane in parts],
+            label=f"lanes[m{g0}:{g1},{len(tiles)} tiles]",
+            reads=[tuple(src for _, src, _, _ in lane) + (w_stack, shift_stack) for lane in parts],
+            writes=[(cols,) + tuple(args[2] for _, _, args, _ in lane)
+                    for lane, cols in zip(parts, lane_cols)],
+        )
+        builder.emit(functools.partial(_count_gemms, len(tiles)), label=f"count[m{g0}:{g1}]")
     builder.release(w_stack)
     builder.release(shift_stack)
-    if gathered:
+    for cols in lane_cols:
         builder.release(cols)
 
 

@@ -11,6 +11,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -201,6 +203,20 @@ def _inference_call(method: str, preset: Preset, seed: int):
     return lambda x: predict_status_seq2seq(model, x)
 
 
+@contextlib.contextmanager
+def _on_one_cpu():
+    """Confine the calling thread to one of its CPUs for the block."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
 def run_throughput(
     preset: Preset,
     input_lengths: Sequence[int],
@@ -213,24 +229,28 @@ def run_throughput(
     Each method first gets one untimed call, which is where CamAL traces
     and validates its execution plan; then the fastest of
     ``_THROUGHPUT_REPEATS`` calls counts, with the methods interleaved so
-    machine drift hits them alike.
+    machine drift hits them alike.  The paper's Fig. 7c is single-CPU, so
+    the calling thread is confined to one CPU throughout, the tracing
+    call included: CamAL's plans then run on one lane
+    (:func:`repro.nn.plan.plan_lanes`).
     """
     methods = list(
         methods or ["CamAL", "CRNN-weak", "CRNN", "BiGRU", "UNet-NILM", "TPNILM", "TransNILM"]
     )
     rng = np.random.default_rng(seed)
     series: Dict[str, List[Tuple[int, float]]] = {m: [] for m in methods}
-    for length in input_lengths:
-        x = rng.random((n_windows, length)).astype(np.float32)
-        calls = {method: _inference_call(method, preset, seed) for method in methods}
-        for call in calls.values():
-            call(x)
-        best = dict.fromkeys(methods, float("inf"))
-        for _ in range(_THROUGHPUT_REPEATS):
-            for method, call in calls.items():
-                start = time.perf_counter()
+    with _on_one_cpu():
+        for length in input_lengths:
+            x = rng.random((n_windows, length)).astype(np.float32)
+            calls = {method: _inference_call(method, preset, seed) for method in methods}
+            for call in calls.values():
                 call(x)
-                best[method] = min(best[method], time.perf_counter() - start)
-        for method in methods:
-            series[method].append((length, n_windows / max(best[method], 1e-9)))
+            best = dict.fromkeys(methods, float("inf"))
+            for _ in range(_THROUGHPUT_REPEATS):
+                for method, call in calls.items():
+                    start = time.perf_counter()
+                    call(x)
+                    best[method] = min(best[method], time.perf_counter() - start)
+            for method in methods:
+                series[method].append((length, n_windows / max(best[method], 1e-9)))
     return ThroughputResult(series=series)

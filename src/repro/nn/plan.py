@@ -26,16 +26,25 @@ Anything the tracer does not support falls back to the untraced path and
 is counted, so regressions show up in ``engine.plan_stats()`` and the
 benchmark JSON rather than as silent slowdowns.
 
+A :class:`LaneStep` runs independent tasks on two **lanes** at once: the
+replaying thread and one helper thread per process.  A trace uses lanes
+only where :func:`plan_lanes` (read once per trace) allows two: this
+thread may run on two or more CPUs and the loaded OpenBLAS runs one
+thread, so each lane's GEMMs get a core of their own.
+
 Set ``REPRO_NN_PLAN=off`` to disable tracing entirely (every call takes
 the fallback path); see ``docs/nn.md``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import queue
+import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,10 +55,13 @@ from .backend.pool import BufferPool
 __all__ = [
     "PLAN_ENV",
     "ExecutionPlan",
+    "LaneStep",
     "PlanBuilder",
     "PlanCache",
     "SlotArena",
+    "blas_threads",
     "plan_enabled",
+    "plan_lanes",
 ]
 
 #: Environment variable disabling the plan layer (``off``/``0``/``false``).
@@ -69,6 +81,156 @@ def plan_enabled() -> bool:
     )
 
 
+#: Symbols reporting OpenBLAS's thread count, in the builds NumPy ships.
+_OPENBLAS_THREAD_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def blas_threads() -> Optional[int]:
+    """Threads the loaded OpenBLAS runs, or ``None`` when none is found.
+
+    Asked once per process through ctypes: OpenBLAS fixes its thread
+    count when it loads (``OPENBLAS_NUM_THREADS``).  Another BLAS, or a
+    system without ``/proc/self/maps``, reads as ``None``.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({
+                line.split()[-1]
+                for line in fh
+                if "openblas" in line.lower() and ".so" in line.split()[-1]
+            })
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in _OPENBLAS_THREAD_GETTERS:
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return int(getter())
+    return None
+
+
+def plan_lanes() -> int:
+    """Lanes a plan traced now may spread its tiled conv groups over: 2 or 1.
+
+    Two when the calling thread may run on at least two CPUs and the
+    loaded OpenBLAS runs one thread.  A multi-threaded BLAS already
+    spreads each GEMM over the cores, and a second lane only contends
+    with it: under ``OPENBLAS_NUM_THREADS=2`` two lanes replayed the
+    paper-width 16-window plan 1.4x slower than one (2-vCPU VM).  Read
+    once per trace, so a thread confined to one CPU traces one-lane plans.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return 2 if cpus >= 2 and blas_threads() == 1 else 1
+
+
+class LaneStep:
+    """One plan step whose two lanes of tasks run at the same time.
+
+    ``lanes[0]`` runs on the replaying thread and ``lanes[1]`` on the
+    process's lane helper thread; each lane runs its tasks in order, and
+    the step returns once both lanes are done.  The lanes must touch
+    disjoint memory — :meth:`PlanBuilder.emit_lanes` declares each lane's
+    reads and writes and the sanitizer checks them at trace time — and a
+    task must never submit further work.  An exception in lane 1 is
+    raised here, on the replaying thread, once lane 0 has ended; the
+    helper thread survives it.
+    """
+
+    __slots__ = ("lanes", "_done", "_error")
+
+    def __init__(self, lanes: Sequence[Sequence[Callable[[], None]]]):
+        if len(lanes) != 2:
+            raise ValueError(f"a lane step has two lanes, got {len(lanes)}")
+        self.lanes: Tuple[Tuple[Callable[[], None], ...], ...] = tuple(
+            tuple(lane) for lane in lanes
+        )
+        #: Held while lane 1 runs; the helper releases it when done.
+        self._done = threading.Lock()
+        self._done.acquire()
+        self._error: Optional[BaseException] = None
+
+    @hot_path
+    def __call__(self) -> None:
+        _lane_helper().submit(self)
+        try:
+            for task in self.lanes[0]:
+                task()
+        finally:
+            self._done.acquire()
+            error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def run_helper_lane(self) -> None:
+        """Lane 1's tasks; runs on the helper thread."""
+        try:
+            for task in self.lanes[1]:
+                task()
+        except BaseException as exc:  # re-raised on the replaying thread
+            self._error = exc
+        finally:
+            self._done.release()
+
+
+class _LaneHelper:
+    """The daemon thread that runs lane 1 of every :class:`LaneStep`."""
+
+    def __init__(self) -> None:
+        self._todo: "queue.SimpleQueue[LaneStep]" = queue.SimpleQueue()
+        self.thread = threading.Thread(
+            target=self._serve, name="repro-plan-lane", daemon=True
+        )
+        self.thread.start()
+
+    def submit(self, step: LaneStep) -> None:
+        self._todo.put(step)
+
+    def _serve(self) -> None:
+        while True:
+            self._todo.get().run_helper_lane()
+
+
+_helper: Optional[_LaneHelper] = None
+_helper_lock = threading.Lock()
+
+
+def _lane_helper() -> _LaneHelper:
+    """The process's lane helper, started on first use."""
+    global _helper
+    helper = _helper
+    if helper is None:
+        with _helper_lock:
+            if _helper is None:
+                _helper = _LaneHelper()
+            helper = _helper
+    return helper
+
+
+def _forget_lane_helper() -> None:
+    """In a forked child: the parent's helper thread does not exist there."""
+    global _helper, _helper_lock
+    _helper = None
+    _helper_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_lane_helper)
+
+
 class ExecutionPlan:
     """One traced forward: bound buffers plus a flat list of step closures.
 
@@ -85,12 +247,13 @@ class ExecutionPlan:
     trace time — so what another plan left in a slot never leaks in.
     ``slot_bytes`` is what the slots this plan uses hold,
     ``peak_live_bytes`` the largest total of the plan's buffers live at
-    once during the trace — the floor any slot layout needs.
+    once during the trace — the floor any slot layout needs.  ``lanes``
+    is 2 when some step is a :class:`LaneStep`, else 1.
     """
 
     __slots__ = (
         "signature", "steps", "inputs", "outputs", "labels", "replays",
-        "slot_bytes", "peak_live_bytes",
+        "slot_bytes", "peak_live_bytes", "lanes",
     )
 
     def __init__(
@@ -102,6 +265,7 @@ class ExecutionPlan:
         labels: Optional[List[str]] = None,
         slot_bytes: int = 0,
         peak_live_bytes: int = 0,
+        lanes: int = 1,
     ):
         self.signature = signature
         self.steps: Tuple[Callable[[], None], ...] = tuple(steps)
@@ -115,6 +279,7 @@ class ExecutionPlan:
         self.replays = 0
         self.slot_bytes = slot_bytes
         self.peak_live_bytes = peak_live_bytes
+        self.lanes = lanes
 
     @hot_path
     def run(self) -> None:
@@ -175,10 +340,15 @@ class PlanBuilder:
     declare the arrays the step ``reads``/``writes`` so use-after-release,
     reads before any write and cross-slot aliasing are caught *at trace
     time* with the offending step's label — before a single replay runs.
+
+    ``lanes`` is how many lanes :meth:`emit_lanes` may use in this trace:
+    :func:`plan_lanes` unless the caller fixes it.
     """
 
-    def __init__(self, arena: Optional[SlotArena] = None):
+    def __init__(self, arena: Optional[SlotArena] = None, lanes: Optional[int] = None):
         self._arena = arena if arena is not None else SlotArena()
+        self.lanes = plan_lanes() if lanes is None else lanes
+        self._lanes_used = 1
         self._steps: List[Callable[[], None]] = []
         self._labels: List[str] = []
         #: Free slots, reusable by any later request that fits: the whole
@@ -286,6 +456,30 @@ class PlanBuilder:
         self._steps.append(step)
         self._labels.append(name)
 
+    def emit_lanes(
+        self,
+        lanes: Sequence[Sequence[Callable[[], None]]],
+        label: str,
+        reads: Sequence[Tuple[np.ndarray, ...]],
+        writes: Sequence[Tuple[np.ndarray, ...]],
+    ) -> None:
+        """Append one :class:`LaneStep` running ``lanes[i]`` on lane ``i``.
+
+        ``reads[i]`` and ``writes[i]`` declare the plan memory lane ``i``
+        reads from earlier steps and writes.  With the sanitizer on, each
+        lane is checked as :meth:`emit` checks a step, and a lane writing
+        memory the other lane reads or writes raises
+        :class:`repro.analysis.sanitize.PlanSanitizeError` naming
+        ``label``: the lanes run at the same time.
+        """
+        if len(lanes) > self.lanes:
+            raise ValueError(f"{len(lanes)} lanes asked for, this trace allows {self.lanes}")
+        if self._tracker is not None:
+            self._tracker.on_emit_lanes(label, reads, writes)
+        self._steps.append(LaneStep(lanes))
+        self._labels.append(label)
+        self._lanes_used = len(lanes)
+
     def build(
         self,
         signature: Signature,
@@ -295,6 +489,7 @@ class PlanBuilder:
         return ExecutionPlan(
             signature, self._steps, inputs, outputs, self._labels,
             slot_bytes=self._slot_bytes, peak_live_bytes=self._peak_live_bytes,
+            lanes=self._lanes_used,
         )
 
 
@@ -307,7 +502,8 @@ class PlanCache:
     Every plan of the cache is traced through its one :attr:`arena`:
     ``slot_bytes`` reports the arena's bytes (evicted plans' slots stay
     in it for the next trace), ``peak_live_bytes`` the largest cached
-    plan's figure (see :class:`ExecutionPlan`).  The serving engine
+    plan's figure and ``lanes`` the most lanes a cached plan replays on
+    (see :class:`ExecutionPlan`).  The serving engine
     surfaces these via ``plan_stats()`` next to ``buffer_pool_stats()``.
     """
 
@@ -359,4 +555,5 @@ class PlanCache:
             "peak_live_bytes": max(
                 (p.peak_live_bytes for p in self._plans.values()), default=0
             ),
+            "lanes": max((p.lanes for p in self._plans.values()), default=0),
         }

@@ -683,6 +683,55 @@ class TestSanitizer:
             with pytest.raises(sanitize.PlanSanitizeError):
                 builder.emit(lambda: None, label="view-reader", reads=(view,))
 
+    @staticmethod
+    def _lane_trace():
+        """A two-lane builder with an input, its scratch and an output."""
+        builder = PlanBuilder(lanes=2)
+        x = builder.input((4, 8))
+        return builder, x, builder.buffer((2, 16)), builder.buffer((2, 4, 8))
+
+    def test_lanes_sharing_a_column_tile_race(self):
+        """Both lanes gathering into one column tile: the bits would depend on
+        the timing, so the trace raises, naming the lane step."""
+        with sanitize.force(True):
+            builder, x, cols, out = self._lane_trace()
+            with pytest.raises(sanitize.PlanSanitizeError) as exc:
+                builder.emit_lanes(
+                    [[lambda: None], [lambda: None]], label="lanes[shared-tile]",
+                    reads=((x[:2],), (x[2:],)),
+                    writes=((cols, out[0]), (cols, out[1])),
+                )
+        assert "lanes[shared-tile]" in str(exc.value)
+        assert "lane 0 writes memory lane 1 writes" in str(exc.value)
+
+    def test_lane_writing_what_the_other_lane_reads_races(self):
+        with sanitize.force(True):
+            builder, x, cols, out = self._lane_trace()
+            with pytest.raises(sanitize.PlanSanitizeError) as exc:
+                builder.emit_lanes(
+                    [[lambda: None], [lambda: None]], label="lanes[read-race]",
+                    reads=((x,), (x[:2],)),
+                    writes=((cols[0], out[0]), (cols[1], x[1:3])),
+                )
+        assert "lane 1 writes memory lane 0 reads" in str(exc.value)
+
+    def test_lanes_on_disjoint_memory_pass(self):
+        """Interleaved but disjoint column ranges of one slot, and reads both
+        lanes share, are legal; the checks are exact, not per slot."""
+        with sanitize.force(True):
+            builder, x, cols, out = self._lane_trace()
+            builder.emit_lanes(
+                [[lambda: None], [lambda: None]], label="lanes[ok]",
+                reads=((x,), (x,)),
+                writes=((cols[0], out[:, :, :4]), (cols[1], out[:, :, 4:])),
+            )
+            builder.emit(lambda: None, label="reads-both", reads=(out, cols))
+
+    def test_lane_steps_need_a_two_lane_trace(self):
+        builder = PlanBuilder(lanes=1)
+        with pytest.raises(ValueError, match="lanes"):
+            builder.emit_lanes([[], []], label="lanes", reads=((), ()), writes=((), ()))
+
     def test_external_arrays_are_ignored(self):
         with sanitize.force(True):
             builder = PlanBuilder()

@@ -14,12 +14,19 @@ every draw.  Example counts stay small so tier-1 stays fast.
 * **The fused ensemble forward is batch-size invariant**: a window's
   ``proba`` and CAM bits from ``forward_fused`` do not depend on the batch
   it is scored in, at the compact preset and at paper width.
+* **Two lanes change nothing but the time**: a plan whose tiled conv
+  groups run on two lanes replays the one-lane plan's bits, counts one
+  GEMM per tile, and raises a failure in lane 1 on the caller.  The lane
+  count is forced through ``repro.nn.plan.plan_lanes``, so these run
+  whatever the box's BLAS threads and CPUs.
 """
 
 import contextlib
 import os
 import subprocess
 import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.core import ResNetConfig, ResNetEnsemble, ResNetTSC
+from repro.core.grouped import COLUMN_BUDGET_BYTES
 from repro.core.resnet import DEFAULT_FILTERS, DEFAULT_KERNEL_SET
 from repro.nn import backend, check_gradients
 from repro.nn import functional as F
@@ -255,3 +263,111 @@ class TestFusedForwardBatchSizeInvariance:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
         )
         assert done.returncode == 0, done.stderr
+
+
+def _lanes(n):
+    """Trace plans with ``n`` lanes inside the block."""
+    return mock.patch.object(nn.plan, "plan_lanes", lambda: n)
+
+
+@st.composite
+def lane_cases(draw):
+    """An ensemble shape and a batch size from 1 up to twice the smallest
+    batch whose widest conv group (unit 2's kernel-5 block) is tiled."""
+    members = draw(st.integers(1, 3))
+    f1 = draw(st.sampled_from((8, 16)))
+    f2 = draw(st.sampled_from((32, 48, 64)))
+    length = draw(st.sampled_from((64, 96, 128)))
+    tiled_n = COLUMN_BUDGET_BYTES // (members * f2 * 5 * length * 4) + 1
+    return dict(
+        kernels=tuple(draw(st.lists(st.sampled_from((3, 5, 7, 9, 15)),
+                                    min_size=members, max_size=members))),
+        filters=(f1, f2, draw(st.sampled_from((f2, 2 * f2)))),
+        length=length,
+        n=draw(st.integers(1, 2 * tiled_n)),
+        tiled_n=tiled_n,
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _lane_ensemble(case):
+    return ResNetEnsemble([
+        ResNetTSC(ResNetConfig(kernel_size=k, filters=case["filters"], seed=case["seed"] + i)).eval()
+        for i, k in enumerate(case["kernels"])
+    ])
+
+
+def _plan(ensemble):
+    (plan,) = ensemble.plan_cache._plans.values()
+    return plan
+
+
+def _lane_steps(plan):
+    return [step for step in plan.steps if isinstance(step, nn.plan.LaneStep)]
+
+
+class TestLanes:
+    """Tiled conv groups on two lanes: the replaying thread and a helper."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(lane_cases())
+    def test_two_lanes_replay_one_lane_bits(self, case):
+        n, length = case["n"], case["length"]
+        x = np.random.default_rng(case["seed"]).random((n, length)).astype(np.float32)
+        got = {}
+        with backend.use_backend("im2col"):
+            for lanes in (1, 2):
+                ensemble = _lane_ensemble(case)
+                with _lanes(lanes):
+                    ensemble.forward_fused(x, batch_size=n)  # traces
+                backend.reset_op_counts()
+                got[lanes] = ensemble.forward_fused(x, batch_size=n)  # replays
+                gemms = backend.op_counts()["fused_conv_gemms"]
+                plan = _plan(ensemble)
+                tiles = sum(len(lane) for step in _lane_steps(plan) for lane in step.lanes)
+                untiled = sum(label.startswith("gemm[") for label in plan.labels)
+                # Counted on the replaying thread once both lanes are done:
+                # one GEMM per tile, none lost to the helper thread.
+                assert gemms == tiles + untiled
+                assert backend.op_counts()["fused_conv_calls"] == gemms
+                assert ensemble.plan_cache.stats["lanes"] == (2 if tiles else 1)
+                assert ensemble.plan_cache.fallbacks == 0
+            proba = np.zeros(n, dtype=np.float32)
+            cam = np.zeros((n, length), dtype=np.float32)
+            with nn.no_grad():
+                ensemble._forward_fused_loop(x, proba, cam, 0, class_index=1)
+        assert got[2].proba.tobytes() == got[1].proba.tobytes()
+        assert got[2].cam.tobytes() == got[1].cam.tobytes()
+        assert np.array_equal(got[2].cam, cam)
+        if n >= case["tiled_n"]:
+            assert ensemble.plan_cache.stats["lanes"] == 2
+
+    def test_a_failure_in_lane_one_is_raised_on_the_caller(self):
+        case = dict(kernels=(5, 9), filters=(16, 64, 64), length=128, n=24, seed=3)
+        x = np.random.default_rng(0).random((24, 128)).astype(np.float32)
+        one_lane = _lane_ensemble(case)
+        ensemble = _lane_ensemble(case)
+        ran_on = []
+
+        def fail():
+            ran_on.append(threading.current_thread().name)
+            raise RuntimeError("lane 1 failed")
+
+        with backend.use_backend("im2col"):
+            with _lanes(1):
+                want = one_lane.forward_fused(x, batch_size=24)
+            with _lanes(2):
+                ensemble.forward_fused(x, batch_size=24)
+            helper = nn.plan._lane_helper().thread
+            step = _lane_steps(_plan(ensemble))[0]
+            lanes = step.lanes
+            # Fail before lane 1's tiles run, so that replay leaves them unwritten.
+            step.lanes = (lanes[0], (fail,) + lanes[1])
+            with pytest.raises(RuntimeError, match="lane 1 failed"):
+                ensemble.forward_fused(x, batch_size=24)
+            step.lanes = lanes
+            got = ensemble.forward_fused(x, batch_size=24)
+        assert ran_on == [helper.name] and helper.name != threading.current_thread().name
+        assert nn.plan._lane_helper().thread is helper and helper.is_alive()
+        assert got.proba.tobytes() == want.proba.tobytes()
+        assert got.cam.tobytes() == want.cam.tobytes()

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (presets, runner plumbing, analytics)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,26 @@ class TestWhiteNoiseWorkload:
         x1, _ = ex.white_noise_households(2, 100, seed=5)
         x2, _ = ex.white_noise_households(2, 100, seed=5)
         assert np.array_equal(x1, x2)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+class TestThroughputIsSingleCpu:
+    def test_every_call_runs_confined_to_one_cpu(self, monkeypatch):
+        """Fig. 7c is single-CPU: the tracing call and the timed ones all see
+        one CPU, so CamAL's plans trace with one lane; the affinity comes back
+        afterwards."""
+        from repro import nn
+        from repro.experiments import scalability
+
+        before = os.sched_getaffinity(0)
+        seen = []
+
+        def fake_call(method, preset, seed):
+            return lambda x: seen.append((len(os.sched_getaffinity(0)), nn.plan.plan_lanes()))
+
+        monkeypatch.setattr(scalability, "_inference_call", fake_call)
+        result = ex.run_throughput(ex.get_preset("bench"), [16], methods=["CamAL"], n_windows=2)
+        assert len(seen) == 1 + scalability._THROUGHPUT_REPEATS
+        assert set(seen) == {(1, 1)}
+        assert os.sched_getaffinity(0) == before
+        assert [length for length, _ in result.series["CamAL"]] == [16]

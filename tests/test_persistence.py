@@ -74,7 +74,7 @@ class TestRoundTrip:
         save_estimator(camal, str(tmp_path))
         with open(tmp_path / "manifest.json") as handle:
             manifest = json.load(handle)
-        assert manifest["format_version"] == 3
+        assert manifest["format_version"] == 4
         assert manifest["model"] == "camal"
         assert manifest["config"]["use_attention"] is True
         members = manifest["config"]["members"]
@@ -83,6 +83,9 @@ class TestRoundTrip:
         assert set(manifest["files"]) == {"member_0.npz", "member_1.npz"}
         for name, digest in manifest["files"].items():
             assert checksum((tmp_path / name).read_bytes()) == digest
+        recorded = manifest.pop("checksum")
+        canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+        assert checksum(canonical.encode()) == recorded
 
 
 class TestErrors:
@@ -145,6 +148,41 @@ class TestIntegrity:
         (tmp_path / "member_0.npz").unlink()
         with pytest.raises(ModelIntegrityError, match="member_0.npz: archive missing"):
             load_estimator(str(tmp_path))
+
+    @staticmethod
+    def _edit_manifest(directory, **changes):
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest.update(changes)
+        path.write_text(json.dumps(manifest, indent=2))
+
+    def test_edited_manifest_field_raises(self, camal, tmp_path):
+        """An edited threshold used to load silently with the new value."""
+        save_estimator(camal, str(tmp_path))
+        assert load_estimator(str(tmp_path)).detection_threshold != 0.9
+        self._edit_manifest(tmp_path, detection_threshold=0.9)
+        with pytest.raises(ModelIntegrityError, match="manifest.json: checksum mismatch"):
+            load_estimator(str(tmp_path))
+
+    def test_manifest_without_its_checksum_raises(self, camal, tmp_path):
+        save_estimator(camal, str(tmp_path))
+        self._edit_manifest(tmp_path, checksum=None)
+        with pytest.raises(ModelIntegrityError, match="manifest records None"):
+            load_estimator(str(tmp_path))
+
+    def test_reformatted_manifest_still_loads(self, camal, tmp_path):
+        """The checksum covers the fields, not the file's bytes."""
+        save_estimator(camal, str(tmp_path))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=None))
+        assert load_estimator(str(tmp_path)).detection_threshold == camal.detection_threshold
+
+    def test_fleet_skips_and_reports_an_edited_manifest(self, camal, tmp_path):
+        save_pipelines({"kettle": camal, "oven": camal}, str(tmp_path))
+        self._edit_manifest(tmp_path / "oven", detection_threshold=0.9)
+        with pytest.warns(UserWarning, match=r"skipped 1 .*oven .*checksum mismatch"):
+            loaded = load_pipelines(str(tmp_path))
+        assert set(loaded) == {"kettle"}
 
     def test_fleet_skips_and_reports_the_corrupt_model(self, camal, tmp_path):
         save_pipelines({"kettle": camal, "oven": camal}, str(tmp_path))
