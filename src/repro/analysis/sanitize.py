@@ -39,9 +39,8 @@ snapshot the flag when constructed.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -281,22 +280,24 @@ class PlanTracker:
     def on_emit_lanes(
         self,
         label: str,
-        reads: Sequence[Sequence[np.ndarray]],
-        writes: Sequence[Sequence[np.ndarray]],
+        reads: Tuple[Sequence[np.ndarray], Sequence[np.ndarray]],
+        writes: Tuple[Sequence[np.ndarray], Sequence[np.ndarray]],
     ) -> None:
-        """Check a lane step: every lane as :meth:`on_emit` checks a step,
-        then every lane's writes against the other lanes' reads and writes
-        (exact overlap of the bytes, not just of the owning slot)."""
+        """Check a lane step: each of its two lanes as :meth:`on_emit`
+        checks a step, then each lane's writes against the other lane's
+        reads and writes (exact overlap of the bytes, not just of the
+        owning slot)."""
         _STATS["plan_checks"] += 1
         for lane_reads in reads:
             self._check_reads(label, lane_reads)
-        for i, j in itertools.permutations(range(len(writes)), 2):
-            for kind, others in (("writes", writes[j]), ("reads", reads[j])):
-                if any(np.shares_memory(a, b) for a in writes[i] for b in others):
-                    raise PlanSanitizeError(
-                        f"plan step {label!r}: lane {i} writes memory lane {j} "
-                        f"{kind} — the lanes run at the same time, so they race"
-                    )
+        for i, kind, others in (
+            (0, "writes", writes[1]), (0, "reads", reads[1]), (1, "reads", reads[0]),
+        ):
+            if any(np.shares_memory(a, b) for a in writes[i] for b in others):
+                raise PlanSanitizeError(
+                    f"plan step {label!r}: lane {i} writes memory lane {1 - i} "
+                    f"{kind} — the lanes run at the same time, so they race"
+                )
         for lane_writes in writes:
             self._check_writes(label, lane_writes)
 

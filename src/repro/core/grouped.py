@@ -195,16 +195,17 @@ def _count_gemms(n: int) -> None:
     counters.record("fused_conv_gemms", n)
 
 
-def _balance(sizes: Sequence[int], lanes: int) -> List[int]:
-    """The lane of each tile: largest first, each to the lane with the
-    fewest columns so far (ties to the lower lane)."""
-    lane_of = [0] * len(sizes)
-    load = [0] * lanes
-    for i in sorted(range(len(sizes)), key=lambda t: -sizes[t]):
-        lane = load.index(min(load))
-        lane_of[i] = lane
-        load[lane] += sizes[i]
-    return lane_of
+def _deal(tiles: Sequence[Tuple[int, int, int]]) -> Tuple[List, List]:
+    """Split ``(member, w0, w1)`` tiles between the two lanes: largest
+    first, each to the lane with fewer columns so far (ties to lane 0).
+    Each lane keeps the tiles' order."""
+    load = [0, 0]
+    lane_of = {}
+    for tile in sorted(tiles, key=lambda t: t[1] - t[2]):
+        lane = int(load[1] < load[0])
+        lane_of[tile] = lane
+        load[lane] += tile[2] - tile[1]
+    return ([t for t in tiles if lane_of[t] == 0], [t for t in tiles if lane_of[t] == 1])
 
 
 def _emit_conv_group(
@@ -223,10 +224,10 @@ def _emit_conv_group(
     One gather + GEMM + epilogue when the group's columns fit
     :data:`COLUMN_BUDGET_BYTES`; otherwise one per member and tile of
     windows whose columns fit.  When the trace has two lanes
-    (``builder.lanes``), such a group's tiles share the budget, half of
-    it per lane's column tile, and run as one lane step: the tiles are
-    dealt largest first, each to the lane with fewer columns so far, and
-    each is gathered into its own lane's column tile.
+    (``builder.lanes``) and such a group has two or more tiles, they share
+    the budget, half of it per lane's column tile, and run as one lane
+    step: the tiles are dealt largest first, each to the lane with fewer
+    columns so far, and each is gathered into its own lane's column tile.
     """
     conv0 = group[0][0]
     kernel, pad = conv0.kernel_size, conv0.padding
@@ -263,6 +264,11 @@ def _emit_conv_group(
     flat_out = act_out[g0:g1].reshape(gm, c_out, n * l_out)
     tiles = [(a, w0, min(n, w0 + w_step)) for a in range(0, gm, m_step)
              for w0 in range(0, n, w_step)]
+    if len(tiles) < 2:
+        # A lone tile: one member, one window whose columns alone exceed
+        # the budget (a one-window tile at either lane count).  Lane 1
+        # would have nothing to run.
+        lanes = 1
 
     def tile_parts(a, w0, w1, cols):
         """(gather step or None, the source it reads, GEMM arguments, tag)."""
@@ -307,23 +313,23 @@ def _emit_conv_group(
             )
         lane_cols = [cols] if gathered else []
     else:
-        lane_of = _balance([w1 - w0 for _, w0, w1 in tiles], lanes)
-        by_lane = [[t for t, on in zip(tiles, lane_of) if on == lane] for lane in range(lanes)]
-        lane_cols = [
+        dealt = _deal(tiles)
+        lane_cols = tuple(
             builder.buffer((mi, c_in * kernel, max(w1 - w0 for _, w0, w1 in mine) * l_out))
-            for mine in by_lane
-        ]
-        parts = [
+            for mine in dealt
+        )
+        parts = tuple(
             [tile_parts(a, w0, w1, cols) for a, w0, w1 in mine]
-            for mine, cols in zip(by_lane, lane_cols)
-        ]
+            for mine, cols in zip(dealt, lane_cols)
+        )
         builder.emit_lanes(
-            [[functools.partial(_conv_tile, gather, *args) for gather, _, args, _ in lane]
-             for lane in parts],
+            tuple([functools.partial(_conv_tile, gather, *args) for gather, _, args, _ in lane]
+                  for lane in parts),
             label=f"lanes[m{g0}:{g1},{len(tiles)} tiles]",
-            reads=[tuple(src for _, src, _, _ in lane) + (w_stack, shift_stack) for lane in parts],
-            writes=[(cols,) + tuple(args[2] for _, _, args, _ in lane)
-                    for lane, cols in zip(parts, lane_cols)],
+            reads=tuple(tuple(src for _, src, _, _ in lane) + (w_stack, shift_stack)
+                        for lane in parts),
+            writes=tuple((cols,) + tuple(args[2] for _, _, args, _ in lane)
+                         for lane, cols in zip(parts, lane_cols)),
         )
         builder.emit(functools.partial(_count_gemms, len(tiles)), label=f"count[m{g0}:{g1}]")
     builder.release(w_stack)

@@ -69,6 +69,8 @@ PLAN_ENV = "REPRO_NN_PLAN"
 
 #: A plan cache key: the shape tuple that fixes the traced call sequence.
 Signature = Hashable
+#: One lane of a :class:`LaneStep`: tasks run in order on one thread.
+Lane = Sequence[Callable[[], None]]
 
 
 def plan_enabled() -> bool:
@@ -142,36 +144,47 @@ class LaneStep:
 
     ``lanes[0]`` runs on the replaying thread and ``lanes[1]`` on the
     process's lane helper thread; each lane runs its tasks in order, and
-    the step returns once both lanes are done.  The lanes must touch
-    disjoint memory — :meth:`PlanBuilder.emit_lanes` declares each lane's
-    reads and writes and the sanitizer checks them at trace time — and a
-    task must never submit further work.  An exception in lane 1 is
-    raised here, on the replaying thread, once lane 0 has ended; the
-    helper thread survives it.
+    the step returns once both lanes are done, even when an interrupt
+    (``KeyboardInterrupt``) lands while it waits: it keeps waiting for
+    lane 1 and raises the interrupt after, so no replay leaves lane 1
+    still writing plan memory.  The lanes must touch disjoint memory —
+    :meth:`PlanBuilder.emit_lanes` declares each lane's reads and writes
+    and the sanitizer checks them at trace time — and a task must never
+    submit further work.  An exception in lane 1 is raised here, on the
+    replaying thread, once lane 0 has ended; the helper thread survives it.
     """
 
     __slots__ = ("lanes", "_done", "_error")
 
-    def __init__(self, lanes: Sequence[Sequence[Callable[[], None]]]):
-        if len(lanes) != 2:
-            raise ValueError(f"a lane step has two lanes, got {len(lanes)}")
-        self.lanes: Tuple[Tuple[Callable[[], None], ...], ...] = tuple(
-            tuple(lane) for lane in lanes
-        )
-        #: Held while lane 1 runs; the helper releases it when done.
-        self._done = threading.Lock()
-        self._done.acquire()
+    def __init__(self, lanes: Tuple[Lane, Lane]):
+        lane0, lane1 = lanes
+        self.lanes = (tuple(lane0), tuple(lane1))
+        #: Set by the helper once lane 1 has ended; cleared by each call.
+        self._done = threading.Event()
         self._error: Optional[BaseException] = None
 
     @hot_path
     def __call__(self) -> None:
+        done = self._done
+        done.clear()
         _lane_helper().submit(self)
         try:
             for task in self.lanes[0]:
                 task()
         finally:
-            self._done.acquire()
+            # Wait for lane 1 even through an interrupt, raised after it.
+            # The wait is inline (no call to enter first) and asked again
+            # after each interrupt, so it cannot end early.
+            interrupt = None
+            while True:
+                try:
+                    done.wait()
+                    break
+                except BaseException as exc:
+                    interrupt = exc
             error, self._error = self._error, None
+            if interrupt is not None:
+                raise interrupt
         if error is not None:
             raise error
 
@@ -183,7 +196,7 @@ class LaneStep:
         except BaseException as exc:  # re-raised on the replaying thread
             self._error = exc
         finally:
-            self._done.release()
+            self._done.set()
 
 
 class _LaneHelper:
@@ -341,13 +354,13 @@ class PlanBuilder:
     reads before any write and cross-slot aliasing are caught *at trace
     time* with the offending step's label — before a single replay runs.
 
-    ``lanes`` is how many lanes :meth:`emit_lanes` may use in this trace:
-    :func:`plan_lanes` unless the caller fixes it.
+    ``lanes`` is :func:`plan_lanes` read when the builder is made: 2 when
+    the tracer may use :meth:`emit_lanes` in this trace, else 1.
     """
 
-    def __init__(self, arena: Optional[SlotArena] = None, lanes: Optional[int] = None):
+    def __init__(self, arena: Optional[SlotArena] = None):
         self._arena = arena if arena is not None else SlotArena()
-        self.lanes = plan_lanes() if lanes is None else lanes
+        self.lanes = plan_lanes()
         self._lanes_used = 1
         self._steps: List[Callable[[], None]] = []
         self._labels: List[str] = []
@@ -458,12 +471,12 @@ class PlanBuilder:
 
     def emit_lanes(
         self,
-        lanes: Sequence[Sequence[Callable[[], None]]],
+        lanes: Tuple[Lane, Lane],
         label: str,
-        reads: Sequence[Tuple[np.ndarray, ...]],
-        writes: Sequence[Tuple[np.ndarray, ...]],
+        reads: Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]],
+        writes: Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]],
     ) -> None:
-        """Append one :class:`LaneStep` running ``lanes[i]`` on lane ``i``.
+        """Append one :class:`LaneStep` running ``lanes[0]`` and ``lanes[1]``.
 
         ``reads[i]`` and ``writes[i]`` declare the plan memory lane ``i``
         reads from earlier steps and writes.  With the sanitizer on, each
@@ -472,13 +485,11 @@ class PlanBuilder:
         :class:`repro.analysis.sanitize.PlanSanitizeError` naming
         ``label``: the lanes run at the same time.
         """
-        if len(lanes) > self.lanes:
-            raise ValueError(f"{len(lanes)} lanes asked for, this trace allows {self.lanes}")
         if self._tracker is not None:
             self._tracker.on_emit_lanes(label, reads, writes)
         self._steps.append(LaneStep(lanes))
         self._labels.append(label)
-        self._lanes_used = len(lanes)
+        self._lanes_used = 2
 
     def build(
         self,

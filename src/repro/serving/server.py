@@ -390,6 +390,16 @@ def _summarize_household(house_id: str, scores) -> Dict[str, object]:
 _MAX_POOL_REBUILDS = 2
 
 
+def _cpu_shares(workers: int) -> List[List[int]]:
+    """The CPUs of this thread dealt to ``workers`` store-job workers.
+
+    Round robin, so shares differ by at most one CPU; with more workers
+    than CPUs, each worker gets one CPU and some share it.
+    """
+    cpus = sorted(os.sched_getaffinity(0))
+    return [cpus[i::workers] or [cpus[i % len(cpus)]] for i in range(workers)]
+
+
 def _score_store_shard(
     fleet_dir: str,
     engine_config: Dict[str, object],
@@ -397,6 +407,7 @@ def _score_store_shard(
     house_ids: List[str],
     appliances: Optional[List[str]],
     attempt: int = 0,
+    cpus: Optional[List[int]] = None,
 ) -> List[Dict[str, object]]:
     """Worker-process entry of the bulk fan-out: score one household shard.
 
@@ -407,13 +418,21 @@ def _score_store_shard(
     chaos run can kill attempt 0 deterministically and let the retry
     after the pool rebuild survive (spawn re-imports this module, so the
     child's fault plan comes from the inherited ``REPRO_FAULTS``).
+    ``cpus`` is this worker's share of the daemon's CPUs.  With a
+    one-thread BLAS the worker runs on it, so its plans trace with the
+    lanes the share allows (:func:`repro.nn.plan.plan_lanes`) and sibling
+    workers' lanes do not crowd one CPU.  A multi-threaded BLAS already
+    keeps plans on one lane and is left to spread over every CPU.
     """
     from ..api.persistence import load_pipelines
     from ..data.store import MeterStore
+    from ..nn.plan import blas_threads
     from .engine import EngineConfig
 
     if faults.ACTIVE is not None:
         faults.ACTIVE.fire("serve.worker", token=attempt)
+    if cpus is not None and blas_threads() == 1:
+        os.sched_setaffinity(0, cpus)
     engine = InferenceEngine(EngineConfig(**engine_config))
     for name, estimator in load_pipelines(fleet_dir).items():
         engine.register(name, estimator)
@@ -892,6 +911,10 @@ class ServingDaemon:
         import multiprocessing
 
         shards = [list(part) for part in np.array_split(houses, workers) if len(part)]
+        cpus: List[Optional[List[int]]] = (
+            _cpu_shares(len(shards)) if hasattr(os, "sched_setaffinity")
+            else [None] * len(shards)
+        )
         engine_config = asdict(self.engine.config)
         spawn_ctx = multiprocessing.get_context("spawn")
         # Worker-crash recovery: a killed worker (OOM, chaos `kill`)
@@ -915,6 +938,7 @@ class ServingDaemon:
                         shards[index],
                         appliances,
                         attempt,
+                        cpus[index],
                     )
                     for index in pending
                 }

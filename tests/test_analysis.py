@@ -686,7 +686,7 @@ class TestSanitizer:
     @staticmethod
     def _lane_trace():
         """A two-lane builder with an input, its scratch and an output."""
-        builder = PlanBuilder(lanes=2)
+        builder = PlanBuilder()
         x = builder.input((4, 8))
         return builder, x, builder.buffer((2, 16)), builder.buffer((2, 4, 8))
 
@@ -726,11 +726,6 @@ class TestSanitizer:
                 writes=((cols[0], out[:, :, :4]), (cols[1], out[:, :, 4:])),
             )
             builder.emit(lambda: None, label="reads-both", reads=(out, cols))
-
-    def test_lane_steps_need_a_two_lane_trace(self):
-        builder = PlanBuilder(lanes=1)
-        with pytest.raises(ValueError, match="lanes"):
-            builder.emit_lanes([[], []], label="lanes", reads=((), ()), writes=((), ()))
 
     def test_external_arrays_are_ignored(self):
         with sanitize.force(True):

@@ -16,21 +16,24 @@ every draw.  Example counts stay small so tier-1 stays fast.
   it is scored in, at the compact preset and at paper width.
 * **Two lanes change nothing but the time**: a plan whose tiled conv
   groups run on two lanes replays the one-lane plan's bits, counts one
-  GEMM per tile, and raises a failure in lane 1 on the caller.  The lane
+  GEMM per tile, runs a lone tile on one lane, raises a failure in lane 1
+  on the caller, and waits for lane 1 through an interrupt.  The lane
   count is forced through ``repro.nn.plan.plan_lanes``, so these run
   whatever the box's BLAS threads and CPUs.
 """
 
 import contextlib
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import nn
@@ -311,6 +314,11 @@ class TestLanes:
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(lane_cases())
+    # Paper filters at the paper's window of 510, one kernel-25 member: one
+    # window's columns exceed the budget in several groups, so at N=1 each
+    # is a lone tile, lane 1 would have nothing to run, and lanes engage at N=2.
+    @example(dict(kernels=(25,), filters=DEFAULT_FILTERS, length=510, n=1, tiled_n=2, seed=5))
+    @example(dict(kernels=(25,), filters=DEFAULT_FILTERS, length=510, n=2, tiled_n=2, seed=5))
     def test_two_lanes_replay_one_lane_bits(self, case):
         n, length = case["n"], case["length"]
         x = np.random.default_rng(case["seed"]).random((n, length)).astype(np.float32)
@@ -341,6 +349,44 @@ class TestLanes:
         assert np.array_equal(got[2].cam, cam)
         if n >= case["tiled_n"]:
             assert ensemble.plan_cache.stats["lanes"] == 2
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_an_interrupted_join_still_waits_for_lane_one(self):
+        """A signal handler raising (as Ctrl-C raises KeyboardInterrupt)
+        while the replaying thread waits for lane 1: the step raises it only
+        once lane 1 has ended, and later calls still wait for their lane 1."""
+
+        class Interrupt(Exception):
+            pass
+
+        def on_signal(signum, frame):
+            raise Interrupt
+
+        main = threading.main_thread().ident
+        lane0_ended = threading.Event()
+        ended = []
+
+        def lane1(interrupt):
+            lane0_ended.wait(10)
+            time.sleep(0.05)  # the replaying thread is waiting by now
+            if interrupt:
+                signal.pthread_kill(main, signal.SIGUSR1)
+            time.sleep(0.05)
+            ended.append(interrupt)
+
+        step = nn.plan.LaneStep(([lane0_ended.set], [lambda: lane1(True)]))
+        previous = signal.signal(signal.SIGUSR1, on_signal)
+        try:
+            with pytest.raises(Interrupt):
+                step()
+            assert ended == [True]
+            lane0_ended.clear()
+            step.lanes = (step.lanes[0], (lambda: lane1(False),))
+            step()
+            assert ended == [True, False]
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        assert nn.plan._lane_helper().thread.is_alive()
 
     def test_a_failure_in_lane_one_is_raised_on_the_caller(self):
         case = dict(kernels=(5, 9), filters=(16, 64, 64), length=128, n=24, seed=3)

@@ -613,6 +613,17 @@ class TestStoreJobs:
             for name, summary in row["appliances"].items():
                 assert summary["status_blake2b"] == house[name]
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+    def test_workers_share_the_cpus(self, monkeypatch):
+        """Each store-job worker runs on its share of the daemon's CPUs, so
+        its plans trace with the lanes that share allows."""
+        from repro.serving import server
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert server._cpu_shares(1) == [[0, 1, 2]]
+        assert server._cpu_shares(2) == [[0, 2], [1]]
+        assert server._cpu_shares(4) == [[0], [1], [2], [0]]
+
     def test_bad_store_path_is_a_request_error(self, tmp_path):
         engine = _engine()
         with ServingDaemon(engine, ServeConfig(port=0)) as daemon:
