@@ -19,10 +19,10 @@ Run standalone for the JSON report::
 
     PYTHONPATH=src python benchmarks/bench_data_pipeline.py
 
-``--smoke`` (or env ``REPRO_BENCH_SMOKE=1``) shrinks the config for CI
-and additionally asserts the peak-memory bound; ``--store DIR`` reuses an
-already-ingested store (the cached CI fixture) for the windows/scoring
-stages instead of ingesting a fresh corpus.  Through pytest::
+``--smoke`` shrinks the config for CI and additionally asserts the
+peak-memory bound; ``--store DIR`` reuses an already-ingested store (the
+cached CI fixture) for the windows/scoring stages instead of ingesting a
+fresh corpus.  Through pytest::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_data_pipeline.py -s
 """
@@ -243,10 +243,6 @@ def run_benchmark(smoke: bool = False, store_dir: str = None) -> dict:
     return report
 
 
-def _smoke_from_env() -> bool:
-    return os.environ.get("REPRO_BENCH_SMOKE", "0") not in ("0", "")
-
-
 def test_data_pipeline():
     report = run_benchmark(smoke=True)
     print()
@@ -262,7 +258,7 @@ def test_data_pipeline():
 
 
 if __name__ == "__main__":
-    smoke = "--smoke" in sys.argv or _smoke_from_env()
+    smoke = "--smoke" in sys.argv
     store_dir = None
     if "--store" in sys.argv:
         store_dir = sys.argv[sys.argv.index("--store") + 1]

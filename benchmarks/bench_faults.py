@@ -243,10 +243,9 @@ def main(argv=None) -> int:
         help="assert guard overhead < 1% and chaos digest equality",
     )
     args = parser.parse_args(argv)
-    smoke = args.smoke or os.environ.get("REPRO_BENCH_SMOKE") == "1"
-    report = run_report(smoke=smoke)
+    report = run_report(smoke=args.smoke)
     print(json.dumps(report, indent=2))
-    if smoke:
+    if args.smoke:
         check_smoke(report)
         print("smoke checks passed", file=sys.stderr)
     return 0

@@ -11,9 +11,9 @@ aggregate windows/s and client-observed p50/p99 latency per
 (client count, coalesce) cell, plus the daemon's own coalesced-batch
 histogram.
 
-``--smoke`` (or ``REPRO_BENCH_SMOKE=1``) runs the 8-client A/B only and
-asserts the load-bearing claim: coalesced aggregate throughput is at
-least **1.3x** the uncoalesced baseline at 8 clients.  A single cell
+``--smoke`` runs the 8-client A/B only and asserts the load-bearing
+claim: coalesced aggregate throughput is at least **1.3x** the
+uncoalesced baseline at 8 clients.  A single cell
 lasts a fraction of a second, so one off/on pair is at the mercy of a
 slow moment on a shared box; the smoke run times the two cells in
 ``SMOKE_PAIRS`` alternating pairs and gates on the median pair ratio
@@ -277,10 +277,9 @@ def main(argv=None) -> int:
         help="8-client A/B pairs only; assert the median >=1.3x coalescing gain",
     )
     args = parser.parse_args(argv)
-    smoke = args.smoke or os.environ.get("REPRO_BENCH_SMOKE") == "1"
-    report = run_report(smoke=smoke)
+    report = run_report(smoke=args.smoke)
     print(json.dumps(report, indent=2))
-    if smoke:
+    if args.smoke:
         check_smoke(report)
         print("smoke checks passed", file=sys.stderr)
     return 0

@@ -12,7 +12,7 @@ Run standalone for the JSON report::
 
     PYTHONPATH=src python benchmarks/bench_training_throughput.py
 
-``--smoke`` (or env ``REPRO_BENCH_SMOKE=1``) shrinks the config for CI.
+``--smoke`` shrinks the config for CI.
 Through pytest alongside the other paper benchmarks::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_training_throughput.py -s
@@ -129,10 +129,6 @@ def run_benchmark(smoke: bool = False, n_workers: int = N_WORKERS) -> dict:
     }
 
 
-def _smoke_from_env() -> bool:
-    return os.environ.get("REPRO_BENCH_SMOKE", "0") not in ("0", "")
-
-
 def test_training_throughput():
     # The speedup gate needs real cores *and* a workload large enough that
     # per-candidate training dominates pool startup, so multi-core machines
@@ -151,7 +147,7 @@ def test_training_throughput():
 
 
 if __name__ == "__main__":
-    smoke = "--smoke" in sys.argv or _smoke_from_env()
+    smoke = "--smoke" in sys.argv
     report = run_benchmark(smoke=smoke)
     print(json.dumps(report, indent=2))
     # Exit non-zero when a correctness invariant breaks so CI pipelines

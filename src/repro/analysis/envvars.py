@@ -70,53 +70,6 @@ _ENTRIES = (
         owner="repro.analysis.sanitize",
     ),
     EnvVar(
-        name="REPRO_SERVE_HOST",
-        values="bind address (default: 127.0.0.1)",
-        description=(
-            "Address the serving daemon (`repro serve`) listens on; CLI "
-            "`--host` overrides it."
-        ),
-        owner="repro.serving.server",
-    ),
-    EnvVar(
-        name="REPRO_SERVE_PORT",
-        values="TCP port, 0 = ephemeral (default: 7733)",
-        description=(
-            "Port the serving daemon listens on; CLI `--port` overrides it."
-        ),
-        owner="repro.serving.server",
-    ),
-    EnvVar(
-        name="REPRO_SERVE_MAX_BATCH",
-        values="int >= 1 (default: 256)",
-        description=(
-            "Coalescer flush threshold: total windows stacked across "
-            "concurrent requests before a fused forward is forced."
-        ),
-        owner="repro.serving.server",
-    ),
-    EnvVar(
-        name="REPRO_SERVE_MAX_WAIT_US",
-        values="int >= 0 microseconds (default: 2000)",
-        description=(
-            "Upper bound on how long the coalescer lingers after the first "
-            "queued request to gather more before flushing. It stops "
-            "lingering as soon as every open connection is awaiting a "
-            "result, since none can then add a request; 0 disables the "
-            "linger."
-        ),
-        owner="repro.serving.server",
-    ),
-    EnvVar(
-        name="REPRO_SERVE_QUEUE_DEPTH",
-        values="int >= 1 (default: 64)",
-        description=(
-            "Bounded pending-request queue per appliance; beyond it the "
-            "daemon fast-rejects with `overloaded` + `retry_after_ms`."
-        ),
-        owner="repro.serving.server",
-    ),
-    EnvVar(
         name="REPRO_FAULTS",
         values="point:prob:kind[:seed], comma-separated (default: off)",
         description=(
@@ -144,15 +97,6 @@ _ENTRIES = (
             "seconds of wall time)."
         ),
         owner="examples/*",
-    ),
-    EnvVar(
-        name="REPRO_BENCH_SMOKE",
-        values="1 (default: off)",
-        description=(
-            "Shrinks benchmark configurations to CI scale, equivalent to "
-            "passing `--smoke` on the command line."
-        ),
-        owner="benchmarks/*",
     ),
 )
 

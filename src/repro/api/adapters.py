@@ -29,7 +29,7 @@ import numpy as np
 from .. import baselines as bl
 from .. import nn
 from ..core.ensemble import EnsembleConfig, TrainedCandidate, train_ensemble
-from ..core.localization import CamAL, LocalizationOutput
+from ..core.localization import CamAL, LocalizationOutput, on_status
 from ..core.resnet import ensemble_conv_shapes
 from ..simdata.preprocessing import SCALE_DIVISOR
 from ..training import (
@@ -246,17 +246,17 @@ class Seq2SeqLocalizer(WeakLocalizer):
         x = np.asarray(x, dtype=np.float32)
         soft = self._frame_probs(x, batch_size)
         proba = self._window_proba(soft)
-        detected = proba > self.detection_threshold
-        status = (soft >= self.status_threshold).astype(np.float32)
-        if self.power_gate_watts is not None:
-            # x is the /1000-scaled aggregate; compare in the same unit.
-            status *= (x >= self.power_gate_watts / SCALE_DIVISOR).astype(np.float32)
+        gate = self.power_gate_watts
         return LocalizationOutput(
             detection_proba=proba,
-            detected=detected,
+            detected=proba > self.detection_threshold,
             cam=soft,
             soft_status=soft,
-            status=status,
+            # x is the /1000-scaled aggregate, so the gate is scaled to match.
+            status=on_status(
+                soft, self.status_threshold, x,
+                None if gate is None else gate / SCALE_DIVISOR,
+            ),
         )
 
     def eval(self):

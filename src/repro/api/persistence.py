@@ -43,7 +43,7 @@ from ..core.ensemble import ResNetEnsemble
 from ..core.localization import CamAL
 from ..core.resnet import ResNetConfig, ResNetTSC
 from ..nn.modules import Module
-from ..nn.serialization import checksum, load_state, save_state, write_atomic
+from ..nn.serialization import checksum, load_state, manifest_checksum, save_state, write_atomic
 from .adapters import CamALLocalizer, Seq2SeqLocalizer
 from .base import NotFittedError, WeakLocalizer
 from .registry import get_entry
@@ -56,11 +56,6 @@ _WEIGHTS_NAME = "network.npz"
 class ModelIntegrityError(RuntimeError):
     """A saved model's manifest or archive fails its checksum, or an
     archive is missing."""
-
-
-def _manifest_checksum(entries: Dict) -> str:
-    """Checksum of manifest fields as canonical JSON."""
-    return checksum(json.dumps(entries, sort_keys=True, separators=(",", ":")).encode())
 
 
 def _config_from_fields(config_cls: type, stored: Dict) -> object:
@@ -114,7 +109,7 @@ def save_estimator(estimator, directory: str) -> None:
             for name, module in modules.items()
         },
     }
-    manifest["checksum"] = _manifest_checksum(manifest)
+    manifest["checksum"] = manifest_checksum(manifest)
     payload = json.dumps(manifest, indent=2).encode()
     write_atomic(os.path.join(directory, MANIFEST_NAME), payload)
 
@@ -153,7 +148,7 @@ def load_estimator(directory: str) -> WeakLocalizer:
             f"(expected {MODEL_FORMAT_VERSION})"
         )
     recorded = manifest.pop("checksum", None)
-    digest = _manifest_checksum(manifest)
+    digest = manifest_checksum(manifest)
     if digest != recorded:
         raise ModelIntegrityError(
             f"{manifest_path}: checksum mismatch: manifest records {recorded}, "

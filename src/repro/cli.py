@@ -665,14 +665,17 @@ def _run_data_windows(args: argparse.Namespace) -> str:
 
 
 def _run_data_verify(args: argparse.Namespace) -> str:
-    """``repro data verify``: eager checksum sweep over every shard.
+    """``repro data verify``: the manifest's checksum, then every shard's.
 
     Raises ``SystemExit`` carrying the report when corruption is found, so
     the process exits non-zero — CI can gate on store integrity directly.
     """
-    from .data import MeterStore
+    from .data import ManifestError, MeterStore
 
-    store = MeterStore(args.store)
+    try:
+        store = MeterStore(args.store)
+    except (ManifestError, ValueError) as exc:  # a bad manifest, or another format
+        raise SystemExit(str(exc)) from None
     start = time.perf_counter()
     bad = store.verify(quarantine=args.quarantine)
     wall = time.perf_counter() - start
@@ -719,15 +722,16 @@ def run_train(args: argparse.Namespace) -> str:
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
-    """Parser of the ``repro serve`` subcommand."""
-    from .serving.protocol import DEFAULT_PORT
+    """Parser of the ``repro serve`` subcommand; its defaults are ``ServeConfig()``'s."""
+    from .serving import ServeConfig
 
+    defaults = ServeConfig()
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Run the fleet-scale serving daemon: a warm model fleet "
         "behind a newline-delimited-JSON TCP protocol with cross-request "
         "micro-batch coalescing, backpressure and graceful SIGTERM drain "
-        "(see docs/serving.md).  Defaults honour REPRO_SERVE_* variables.",
+        "(see docs/serving.md).",
     )
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
@@ -742,12 +746,12 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="serve seeded *untrained* tiny CamAL pipelines (kettle, "
         "dishwasher) — protocol/benchmark smoke mode, not real predictions",
     )
-    parser.add_argument("--host", default=None, help="bind address (default: 127.0.0.1)")
+    parser.add_argument("--host", default=defaults.host, help="bind address (default: %(default)s)")
     parser.add_argument(
         "--port",
         type=int,
-        default=None,
-        help=f"TCP port; 0 binds an ephemeral one (default: {DEFAULT_PORT})",
+        default=defaults.port,
+        help="TCP port; 0 binds an ephemeral one (default: %(default)s)",
     )
     parser.add_argument(
         "--window", type=int, default=128, help="serving window length (default: 128)"
@@ -764,21 +768,21 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-batch",
         type=int,
-        default=None,
-        help="coalescer flush threshold in windows (default: 256)",
+        default=defaults.max_batch_windows,
+        help="coalescer flush threshold in windows (default: %(default)s)",
     )
     parser.add_argument(
         "--max-wait-us",
         type=int,
-        default=None,
+        default=defaults.max_wait_us,
         help="upper bound on the coalescer linger after the first queued "
-        "request (default: 2000)",
+        "request (default: %(default)s)",
     )
     parser.add_argument(
         "--queue-depth",
         type=int,
-        default=None,
-        help="bounded pending requests per appliance (default: 64)",
+        default=defaults.queue_depth,
+        help="bounded pending requests per appliance (default: %(default)s)",
     )
     parser.add_argument(
         "--no-coalesce",
@@ -849,22 +853,15 @@ def run_serve(args: argparse.Namespace) -> int:
     if not args.no_warm:
         engine.warmup()
 
-    overrides: Dict[str, object] = {}
-    if args.host is not None:
-        overrides["host"] = args.host
-    if args.port is not None:
-        overrides["port"] = args.port
-    if args.max_batch is not None:
-        overrides["max_batch_windows"] = args.max_batch
-    if args.max_wait_us is not None:
-        overrides["max_wait_us"] = args.max_wait_us
-    if args.queue_depth is not None:
-        overrides["queue_depth"] = args.queue_depth
-    if args.no_coalesce:
-        overrides["coalesce"] = False
-    if args.no_warm:
-        overrides["warm_start"] = False
-    config = ServeConfig.from_env(**overrides)
+    config = ServeConfig(
+        host=args.host,
+        port=args.port,
+        max_batch_windows=args.max_batch,
+        max_wait_us=args.max_wait_us,
+        queue_depth=args.queue_depth,
+        coalesce=not args.no_coalesce,
+        warm_start=not args.no_warm,
+    )
 
     daemon = ServingDaemon(engine, config, fleet_dir=args.fleet)
     host, port = daemon.start()

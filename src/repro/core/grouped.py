@@ -66,6 +66,7 @@ import numpy as np
 from .. import nn
 from ..nn.backend import counters
 from ..nn.plan import ExecutionPlan, PlanBuilder, SlotArena
+from .resnet import fold_batch_norm
 
 DTYPE = np.float32
 
@@ -89,8 +90,9 @@ def _make_fold_step(conv, norm, w_dst: np.ndarray, s_dst: np.ndarray) -> Callabl
     Reads ``conv``/``norm`` parameters at **replay** time — the fold is
     O(C_out * C_in * K), negligible next to the conv GEMM, and re-running
     it every replay is what keeps a plan correct across
-    ``load_state_dict`` and parameter updates.  Mirrors
-    ``ConvBlock._forward_folded`` operation-for-operation.
+    ``load_state_dict`` and parameter updates.  The scale and shift come
+    from :func:`~repro.core.resnet.fold_batch_norm`, as in
+    ``ConvBlock._forward_folded``.
     """
 
     def fold() -> None:
@@ -102,11 +104,7 @@ def _make_fold_step(conv, norm, w_dst: np.ndarray, s_dst: np.ndarray) -> Callabl
             else:
                 s_dst.fill(0.0)
             return
-        inv_std = 1.0 / np.sqrt(norm.running_var + norm.eps)
-        scale = norm.gamma.data * inv_std
-        shift = norm.beta.data - norm.running_mean * scale
-        if conv.bias is not None:
-            shift = shift + conv.bias.data * scale
+        scale, shift = fold_batch_norm(conv, norm)
         np.multiply(weight.reshape(w_dst.shape), scale[:, None], out=w_dst)
         np.copyto(s_dst, shift)
 

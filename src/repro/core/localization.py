@@ -8,7 +8,7 @@ Given a trained detection ensemble, localization proceeds per window:
 4. normalize each to [0, 1] and average them into ``CAM_ens``,
 5. apply ``CAM_ens`` as an attention mask on the input:
    ``s(t) = sigmoid(CAM_ens(t) * x(t))``,
-6. round at 0.5 into the binary status ``ŝ(t)``.
+6. round at 0.5 into the binary status ``ŝ(t)`` (:func:`on_status`).
 
 The paper's introduction additionally describes a post-processing of the
 aggregated CAM "to refine the prediction".  We implement it as a *power
@@ -30,6 +30,19 @@ import numpy as np
 from ..simdata.preprocessing import SCALE_DIVISOR
 from .cam import ensemble_cam
 from .ensemble import ResNetEnsemble
+
+
+def on_status(soft: np.ndarray, threshold: float, power: np.ndarray, gate) -> np.ndarray:
+    """The ON rule: float32 1.0 where ``soft >= threshold``, gated by power.
+
+    Unless ``gate`` is None, a timestamp is ON only where ``power >= gate``
+    too (the Eq. 2 power gate).  ``power`` and ``gate`` come in one unit:
+    scaled windows with ``gate / SCALE_DIVISOR``, or Watts.
+    """
+    status = (soft >= threshold).astype(np.float32)
+    if gate is not None:
+        status *= (power >= gate).astype(np.float32)
+    return status
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -117,10 +130,13 @@ class CamAL:
         else:
             # Ablation: threshold the raw averaged CAM directly.
             soft = cam
-        status = ((soft >= self.status_threshold) & mask).astype(np.float32)
-        if self.power_gate_watts is not None:
-            # x is the /1000-scaled aggregate; compare in the same unit.
-            status *= (x >= self.power_gate_watts / SCALE_DIVISOR).astype(np.float32)
+        gate = self.power_gate_watts
+        # x is the /1000-scaled aggregate, so the gate is scaled to match;
+        # undetected windows stay OFF at any threshold (step 2).
+        status = on_status(
+            soft, self.status_threshold, x, None if gate is None else gate / SCALE_DIVISOR
+        )
+        status *= mask
 
         return LocalizationOutput(
             detection_proba=proba,

@@ -44,6 +44,21 @@ class ResNetConfig:
     seed: int = 0
 
 
+def fold_batch_norm(conv, norm) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-output-channel ``(scale, shift)`` folding ``norm`` into ``conv``.
+
+    Convolving with ``conv.weight * scale`` and adding ``shift`` gives
+    ``norm(conv(x))`` under the running statistics, bias included.  The
+    member loop (:meth:`ConvBlock._forward_folded`) and the traced plan
+    (``repro.core.grouped``) both fold through here, so their bits agree.
+    """
+    scale = norm.gamma.data * (1.0 / np.sqrt(norm.running_var + norm.eps))
+    shift = norm.beta.data - norm.running_mean * scale
+    if conv.bias is not None:
+        shift = shift + conv.bias.data * scale
+    return scale, shift
+
+
 class ConvBlock(nn.Module):
     """Conv1d -> BatchNorm -> ReLU (the paper's ConvBlock).
 
@@ -69,17 +84,13 @@ class ConvBlock(nn.Module):
 
     @hot_path
     def _forward_folded(self, x: Tensor) -> Tensor:
-        norm, conv = self.norm, self.conv
-        inv_std = 1.0 / np.sqrt(norm.running_var + norm.eps)
-        scale = norm.gamma.data * inv_std
-        shift = norm.beta.data - norm.running_mean * scale
+        conv = self.conv
+        scale, shift = fold_batch_norm(conv, self.norm)
         # The folded weight is only read inside the conv call, so it can
         # come from the active buffer pool like the conv scratch does —
         # steady-state fused serving re-folds into a recycled buffer.
         folded = nn.backend.scratch(conv.weight.shape, conv.weight.dtype)
         np.multiply(conv.weight.data, scale[:, None, None], out=folded)
-        if conv.bias is not None:
-            shift = shift + conv.bias.data * scale
         # Single fused backend call: the conv GEMM applies the folded
         # scale/shift and the ReLU in its epilogue, in the pooled output
         # buffer — same bits as conv + bias + relu staged separately.

@@ -32,7 +32,10 @@ Row layout:
 The manifest records the sampling rate, target appliances, per-household
 possession answers, and the full preprocessing provenance (resample
 factor, fill bound, tail policy) so a store is self-describing: training
-and serving never need the original corpus again.
+and serving never need the original corpus again.  It also records each
+shard's checksum and a ``checksum`` of its own other fields
+(:func:`repro.nn.serialization.manifest_checksum`), so an edited label
+or sample count raises :class:`ManifestError` on open.
 """
 
 from __future__ import annotations
@@ -46,10 +49,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis import faults, sanitize
-from ..nn.serialization import checksum, write_atomic
+from ..nn.serialization import checksum, manifest_checksum, write_atomic
 
 #: On-disk manifest schema version.
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 
 #: Default samples per shard (float32 rows; one channel row is 256 KiB).
 DEFAULT_SHARD_LENGTH = 65536
@@ -87,7 +90,10 @@ class ShardCorruptionError(StoreIntegrityError):
 
 
 def write_manifest(store_dir: str, manifest: Dict) -> None:
-    """Atomically persist the store manifest.
+    """Atomically persist the store manifest, signed with its checksum.
+
+    The ``checksum`` entry is (re)computed over every other field, so
+    quarantine and repair re-sign what they change.
 
     The manifest is written **last** during ingest, so a directory with a
     readable manifest always describes a complete set of shards — a
@@ -96,8 +102,9 @@ def write_manifest(store_dir: str, manifest: Dict) -> None:
     manifest is a crashed ingest, while a torn shard under an intact
     manifest is the silent corruption the checksums exist to catch.
     """
-    payload = json.dumps(manifest, indent=2, sort_keys=False).encode()
-    write_atomic(os.path.join(store_dir, MANIFEST_NAME), payload)
+    fields = {key: value for key, value in manifest.items() if key != "checksum"}
+    payload = json.dumps(dict(fields, checksum=manifest_checksum(fields)), indent=2)
+    write_atomic(os.path.join(store_dir, MANIFEST_NAME), payload.encode())
 
 
 def write_household_shards(
@@ -181,9 +188,7 @@ class HouseholdMeta:
     channels: Tuple[str, ...]  # shard row order; the mask row is implicit
     possession: Dict[str, bool]
     submetered: Tuple[str, ...]
-    #: Per-shard blake2b hex digests (``None`` for stores ingested before
-    #: checksums existed — those read without verification).
-    checksums: Optional[Tuple[str, ...]] = None
+    checksums: Tuple[str, ...]  # per-shard blake2b hex digests
     #: Shards moved aside by :meth:`MeterStore.verify` — shard index ->
     #: corruption reason.  Reads of a quarantined shard raise instead of
     #: returning bytes known to be wrong.
@@ -240,6 +245,13 @@ class MeterStore:
                 f"{path!r}: unsupported store format {version!r} "
                 f"(this build reads format {STORE_FORMAT_VERSION})"
             )
+        recorded = self.manifest.pop("checksum", None)
+        digest = manifest_checksum(self.manifest)
+        if digest != recorded:
+            raise ManifestError(
+                f"{path!r}: {MANIFEST_NAME} checksum mismatch: it records "
+                f"{recorded}, its fields hash to {digest}"
+            )
         # Cached memmaps carry the stat signature seen at open, so a file
         # deleted or replaced underneath the LRU is detected on the next
         # hit instead of serving a stale (or SIGBUS-prone) mapping.
@@ -268,12 +280,10 @@ class MeterStore:
 
     @staticmethod
     def _meta_from_entry(house_id: str, entry: Dict) -> HouseholdMeta:
-        checksums = entry.get("checksums")
+        checksums = tuple(entry["checksums"])
         n_shards = int(entry["n_shards"])
-        if checksums is not None and len(checksums) != n_shards:
-            raise ValueError(
-                f"{len(checksums)} checksums for {n_shards} shards"
-            )
+        if len(checksums) != n_shards:
+            raise ValueError(f"{len(checksums)} checksums for {n_shards} shards")
         return HouseholdMeta(
             house_id=house_id,
             n_samples=int(entry["n_samples"]),
@@ -281,7 +291,7 @@ class MeterStore:
             channels=tuple(entry["channels"]),
             possession={k: bool(v) for k, v in entry["possession"].items()},
             submetered=tuple(entry["submetered"]),
-            checksums=tuple(checksums) if checksums is not None else None,
+            checksums=checksums,
             quarantined={
                 int(k): str(v) for k, v in entry.get("quarantined", {}).items()
             },
@@ -362,9 +372,9 @@ class MeterStore:
         stat-validated: a shard file deleted or replaced underneath the
         LRU evicts the stale mapping and reopens (re-verifying the
         checksum) instead of serving bytes from a vanished file.  The
-        first open of each shard verifies its manifest checksum when the
-        store records one; failures raise :class:`ShardCorruptionError`
-        rather than returning data known to be wrong.
+        first open of each shard verifies its manifest checksum; failures
+        raise :class:`ShardCorruptionError` rather than returning data
+        known to be wrong.
         """
         meta = self.house_meta(house_id)
         if not 0 <= shard < meta.n_shards:
@@ -390,24 +400,11 @@ class MeterStore:
         if faults.ACTIVE is not None:
             faults.ACTIVE.fire("store.shard_read", token=key)
         signature = self._stat_signature(path)
-        if signature is None:
-            raise ShardCorruptionError(house_id, shard, f"shard file missing: {path}")
-        expected = self._expected_shard_bytes(meta)
-        if signature[1] != expected:
-            raise ShardCorruptionError(
-                house_id, shard,
-                f"truncated: {signature[1]} bytes on disk, expected {expected}",
-            )
-        if meta.checksums is not None and self._verified.get(key) != signature:
-            with open(path, "rb") as handle:
-                digest = checksum(handle.read())
-            if digest != meta.checksums[shard]:
-                raise ShardCorruptionError(
-                    house_id, shard,
-                    f"checksum mismatch: manifest records "
-                    f"{meta.checksums[shard]}, file hashes to {digest}",
-                )
-            self._verified[key] = signature
+        if signature is None or self._verified.get(key) != signature:
+            reason = self._shard_fault_reason(house_id, meta, shard)
+            if reason is not None:
+                raise ShardCorruptionError(house_id, shard, reason)
+            signature = self._verified[key]
         mapped = np.memmap(
             path,
             dtype="<f4",
@@ -504,7 +501,10 @@ class MeterStore:
     def _shard_fault_reason(
         self, house_id: str, meta: HouseholdMeta, shard: int
     ) -> Optional[str]:
-        """Reason shard ``shard`` fails its integrity contract, or None."""
+        """Reason shard ``shard`` fails its integrity contract, or None.
+
+        A shard that passes is marked verified under its stat signature.
+        """
         path = self.shard_path(house_id, shard)
         signature = self._stat_signature(path)
         if signature is None:
@@ -512,15 +512,14 @@ class MeterStore:
         expected = self._expected_shard_bytes(meta)
         if signature[1] != expected:
             return f"truncated: {signature[1]} bytes on disk, expected {expected}"
-        if meta.checksums is not None:
-            with open(path, "rb") as handle:
-                digest = checksum(handle.read())
-            if digest != meta.checksums[shard]:
-                return (
-                    f"checksum mismatch: manifest records "
-                    f"{meta.checksums[shard]}, file hashes to {digest}"
-                )
-            self._verified[(house_id, shard)] = signature
+        with open(path, "rb") as handle:
+            digest = checksum(handle.read())
+        if digest != meta.checksums[shard]:
+            return (
+                f"checksum mismatch: manifest records "
+                f"{meta.checksums[shard]}, file hashes to {digest}"
+            )
+        self._verified[(house_id, shard)] = signature
         return None
 
     def verify(self, quarantine: bool = False) -> Dict[str, Dict[int, str]]:
@@ -617,10 +616,7 @@ class MeterStore:
             self.shard_path(house_id, shard), payload, fault_point="store.shard_write"
         )
         entry = self.manifest["households"][house_id]
-        if entry.get("checksums") is not None:
-            checksums = list(entry["checksums"])
-            checksums[shard] = digest
-            entry["checksums"] = checksums
+        entry["checksums"][shard] = digest
         quarantined = dict(entry.get("quarantined", {}))
         quarantined.pop(str(shard), None)
         if quarantined:

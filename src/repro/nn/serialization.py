@@ -3,14 +3,16 @@
 Every file the project persists — meter-store shards and manifests,
 training checkpoints and their ``.sum`` sidecars, model archives and
 model manifests — goes through :func:`write_atomic`, and every recorded
-digest comes from :func:`checksum`.  Module state dicts travel as
-``.npz`` archives (:func:`save_state` / :func:`load_state`).
+digest comes from :func:`checksum`.  Store and model manifests sign
+their own fields with :func:`manifest_checksum`.  Module state dicts
+travel as ``.npz`` archives (:func:`save_state` / :func:`load_state`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 import tempfile
 from typing import Dict, Optional
@@ -24,6 +26,15 @@ from .modules import Module
 def checksum(payload: bytes) -> str:
     """The digest recorded for every persisted payload (blake2b-128 hex)."""
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
+
+
+def manifest_checksum(fields: Dict) -> str:
+    """The :func:`checksum` of manifest fields as canonical JSON.
+
+    Canonical means sorted keys and no whitespace, so a manifest
+    re-indented on disk still matches; an edited value does not.
+    """
+    return checksum(json.dumps(fields, sort_keys=True, separators=(",", ":")).encode())
 
 
 def write_atomic(path: str, payload: bytes, fault_point: Optional[str] = None) -> str:

@@ -40,20 +40,13 @@ from .engine import (
     InferenceEngine,
 )
 from .server import ServeConfig, ServingDaemon
-from .windowing import (
-    SlidingWindowPlan,
-    plan_windows,
-    slice_windows,
-    stitch_mean,
-    stitch_windows,
-)
+from .windowing import SlidingWindowPlan, plan_windows, slice_windows, stitch_mean
 
 __all__ = [
     "SlidingWindowPlan",
     "plan_windows",
     "slice_windows",
     "stitch_mean",
-    "stitch_windows",
     "EngineConfig",
     "InferenceEngine",
     "ApplianceSeriesResult",

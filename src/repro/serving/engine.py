@@ -18,8 +18,9 @@ workload shape for deployment:
 * an optional LRU cache keyed on ``(appliance, window-content hash)``
   short-circuits windows already scored — flat overnight stretches and
   re-analyzed days hit the cache instead of the conv stack;
-* per-window soft scores are stitched (overlap mean, then threshold) into
-  a per-timestamp status covering 100 % of the input, including the tail;
+* per-window soft scores are stitched (overlap mean, then the
+  pipeline's ON rule) into a per-timestamp status covering 100 % of the
+  input, including the tail;
 * :meth:`InferenceEngine.score_store` is the bulk path over an ingested
   :class:`repro.data.MeterStore`: households stream shard-sized window
   chunks through the same pipelines and stitcher, so scoring a long
@@ -49,11 +50,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from ..core.localization import LocalizationOutput
+from ..core.localization import LocalizationOutput, on_status
 from ..simdata.preprocessing import SCALE_DIVISOR
-from .windowing import SlidingWindowPlan, plan_windows, slice_windows, stitch_mean
+from .windowing import SlidingWindowPlan, _Stitcher, plan_windows, slice_windows, stitch_mean
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..data.store import MeterStore
@@ -74,10 +74,6 @@ class EngineConfig:
     stride: Optional[int] = None  # hop between windows; None = window
     batch_size: int = 256  # micro-batch size per forward pass
     cache_size: int = 0  # LRU entries across appliances; 0 disables
-    #: Threshold on the stitched soft score.  ``None`` (the default)
-    #: defers to each pipeline's own ``status_threshold``; set a value
-    #: only to explicitly override every pipeline.
-    status_threshold: Optional[float] = None
 
 
 @dataclass
@@ -156,43 +152,14 @@ class HouseholdScores:
         return iter(self.per_appliance.items())
 
 
-class _ChunkStitcher:
-    """Incremental :func:`stitch_mean` over in-order window chunks.
-
-    Reproduces the full-batch stitcher bit-for-bit: the non-overlapping
-    fast path concatenates float32 rows, the overlapping path accumulates
-    float64 sums/counts in the same window order before one division.
-    """
-
-    def __init__(self, plan: SlidingWindowPlan):
-        self.plan = plan
-        if plan.stride == plan.window:
-            self._flat: Optional[np.ndarray] = np.zeros(
-                plan.padded_length, dtype=np.float32
-            )
-            self._sums = self._counts = None
-        else:
-            self._flat = None
-            self._sums = np.zeros(plan.padded_length, dtype=np.float64)
-            self._counts = np.zeros(plan.padded_length, dtype=np.float64)
-
-    def add(self, first_window: int, values: np.ndarray) -> None:
-        """Fold in scores for windows ``first_window .. first_window+len``."""
-        start = self.plan.window_start(first_window)
-        if self._flat is not None:
-            stop = start + values.size
-            self._flat[start:stop] = values.reshape(-1)
-            return
-        for row in values:
-            self._sums[start : start + self.plan.window] += row
-            self._counts[start : start + self.plan.window] += 1.0
-            start += self.plan.stride
-
-    def finalize(self) -> np.ndarray:
-        n = self.plan.series_length
-        if self._flat is not None:
-            return self._flat[:n].copy()
-        return (self._sums[:n] / self._counts[:n]).astype(np.float32)
+def _series_status(pipeline, soft: np.ndarray, watts: np.ndarray) -> np.ndarray:
+    """The pipeline's ON rule over stitched scores, power-gated in Watts."""
+    return on_status(
+        soft,
+        float(getattr(pipeline, "status_threshold", 0.5)),
+        watts,
+        getattr(pipeline, "power_gate_watts", None),
+    )
 
 
 class InferenceEngine:
@@ -279,7 +246,7 @@ class InferenceEngine:
         windows = np.zeros((self.config.batch_size, self.config.window), np.float32)
         with self._lock:
             for name in names:
-                self._localize(self.pipelines[name], windows)
+                self.pipelines[name].localize(windows, self.config.batch_size)
         return self
 
     @property
@@ -364,23 +331,17 @@ class InferenceEngine:
     ) -> ApplianceSeriesResult:
         """Stitch per-window scores back onto the series for one appliance.
 
-        Overlap-mean stitch, threshold at the pipeline's (or config
-        override) level, then re-apply the appliance's power gate at
-        series level.  Lock-free: reads only immutable pipeline knobs.
+        Overlap-mean stitch, then the pipeline's ON rule on the series:
+        its threshold, and its power gate in Watts, so stitching can never
+        turn a below-gate timestamp ON.  Lock-free: reads only immutable
+        pipeline knobs.
         """
-        pipeline = self.pipelines[appliance]
         soft = stitch_mean(output.soft_status, plan)
-        status = (soft >= self._status_threshold(pipeline)).astype(np.float32)
-        gate = getattr(pipeline, "power_gate_watts", None)
-        if gate is not None:
-            # Re-apply the power gate on the *series* so stitching can
-            # never turn a below-threshold timestamp ON.
-            status *= (aggregate_watts >= gate).astype(np.float32)
         return ApplianceSeriesResult(
             appliance=appliance,
             windows=output,
             soft_status=soft,
-            status=status,
+            status=_series_status(self.pipelines[appliance], soft, aggregate_watts),
             cache_hits=cache_hits,
         )
 
@@ -399,11 +360,7 @@ class InferenceEngine:
             A :class:`HouseholdInference` whose per-appliance stitched
             ``status``/``soft_status`` cover every input timestamp.
         """
-        names = list(self.pipelines) if appliances is None else list(appliances)
-        for name in names:
-            if name not in self.pipelines:
-                raise KeyError(f"no pipeline registered for appliance {name!r}")
-
+        names = self._names(appliances)
         # Scale once, window once; every appliance shares this batch.
         aggregate_watts, plan, windows = self.window_series(aggregate_watts)
 
@@ -415,15 +372,13 @@ class InferenceEngine:
             )
         return result
 
-    def _status_threshold(self, pipeline) -> float:
-        """Stitching threshold: the pipeline's own unless the config overrides."""
-        if self.config.status_threshold is not None:
-            return float(self.config.status_threshold)
-        return float(getattr(pipeline, "status_threshold", 0.5))
-
-    def _localize(self, pipeline, windows: np.ndarray) -> LocalizationOutput:
-        """One pipeline pass in micro-batches of ``batch_size`` windows."""
-        return pipeline.localize(windows, self.config.batch_size)
+    def _names(self, appliances: Optional[Iterable[str]]) -> List[str]:
+        """The selected appliances (default: all); an unregistered one raises."""
+        names = list(self.pipelines) if appliances is None else list(appliances)
+        for name in names:
+            if name not in self.pipelines:
+                raise KeyError(f"no pipeline registered for appliance {name!r}")
+        return names
 
     def _ensemble_stats(self, attr: str) -> Dict[str, Dict[str, int]]:
         """``.stats`` of each fused ensemble's ``attr`` (pool or plan cache).
@@ -467,7 +422,7 @@ class InferenceEngine:
     ) -> Tuple[LocalizationOutput, int]:
         """Localize a window batch, serving repeats from the LRU cache."""
         if self.config.cache_size <= 0:
-            return self._localize(pipeline, windows), 0
+            return pipeline.localize(windows, self.config.batch_size), 0
 
         n, length = windows.shape
         proba = np.zeros(n, dtype=np.float32)
@@ -489,7 +444,7 @@ class InferenceEngine:
             proba[i], detected[i], cam[i], soft[i], status[i] = row
         if misses:
             miss_idx = np.asarray(misses)
-            fresh = self._localize(pipeline, windows[miss_idx])
+            fresh = pipeline.localize(windows[miss_idx], self.config.batch_size)
             proba[miss_idx] = fresh.detection_proba
             detected[miss_idx] = fresh.detected
             cam[miss_idx] = fresh.cam
@@ -545,10 +500,7 @@ class InferenceEngine:
         """
         # Validate eagerly (this is not the generator) so a bad appliance
         # name raises at the call site, exactly like run().
-        names = list(self.pipelines) if appliances is None else list(appliances)
-        for name in names:
-            if name not in self.pipelines:
-                raise KeyError(f"no pipeline registered for appliance {name!r}")
+        names = self._names(appliances)
         houses = list(store.house_ids if house_ids is None else house_ids)
         if chunk_windows is not None and chunk_windows <= 0:
             raise ValueError(f"chunk_windows must be positive, got {chunk_windows}")
@@ -580,21 +532,19 @@ class InferenceEngine:
         plan = plan_windows(n, self.config.window, self.config.stride)
         chunk = chunk_windows or self._chunk_windows_default(plan, store.shard_length)
 
-        stitchers = {name: _ChunkStitcher(plan) for name in names}
+        stitchers = {name: _Stitcher(plan) for name in names}
         detected = {name: 0 for name in names}
         hits = {name: 0 for name in names}
         for first in range(0, plan.n_windows, chunk):
             last = min(first + chunk, plan.n_windows)
             start = plan.window_start(first)
-            stop = plan.window_start(last - 1) + plan.window
-            raw = store.read_channel(
-                house_id, AGGREGATE_CHANNEL, start, min(stop, n)
-            )
-            scaled = np.asarray(raw, dtype=np.float32) / SCALE_DIVISOR
-            if stop > n:  # tail chunk: repeat the last real sample
-                scaled = np.pad(scaled, (0, stop - n), mode="edge")
+            stop = min(plan.window_start(last - 1) + plan.window, n)
+            raw = store.read_channel(house_id, AGGREGATE_CHANNEL, start, stop)
+            # The chunk's own plan covers windows first..last-1, tail
+            # padding included, so it slices them as window_series does.
+            chunk_plan = plan_windows(stop - start, plan.window, plan.stride)
             windows = np.ascontiguousarray(
-                sliding_window_view(scaled, plan.window)[:: plan.stride]
+                slice_windows(raw / SCALE_DIVISOR, chunk_plan)
             )
             for name in names:
                 output, chunk_hits = self.localize_windows(name, windows)
@@ -604,15 +554,12 @@ class InferenceEngine:
 
         result = HouseholdScores(house_id=house_id, plan=plan)
         for name in names:
-            pipeline = self.pipelines[name]
             soft = stitchers[name].finalize()
-            status = (soft >= self._status_threshold(pipeline)).astype(np.float32)
-            gate = getattr(pipeline, "power_gate_watts", None)
-            if gate is not None:
-                # Same series-level re-gate as run(), one shard at a time.
-                for lo, hi in store.iter_sample_ranges(house_id):
-                    watts = store.read_channel(house_id, AGGREGATE_CHANNEL, lo, hi)
-                    status[lo:hi] *= (watts >= gate).astype(np.float32)
+            status = np.empty_like(soft)
+            # run()'s ON rule, one shard of Watts at a time.
+            for lo, hi in store.iter_sample_ranges(house_id):
+                watts = store.read_channel(house_id, AGGREGATE_CHANNEL, lo, hi)
+                status[lo:hi] = _series_status(self.pipelines[name], soft[lo:hi], watts)
             result.per_appliance[name] = ApplianceStoreScores(
                 appliance=name,
                 soft_status=soft,

@@ -65,7 +65,7 @@ __all__ = [
     "ok_response",
 ]
 
-#: Default TCP port of `repro serve` (overridable via REPRO_SERVE_PORT).
+#: Default TCP port of `repro serve` (``--port`` picks another).
 DEFAULT_PORT = 7733
 
 #: Default per-frame byte budget.  8 MiB of JSON floats is ~half a

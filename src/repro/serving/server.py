@@ -45,8 +45,8 @@ waits for in-flight responses to hit the wire, then closes.  Requests
 arriving mid-drain get a ``draining`` rejection with a retry hint; none
 are silently dropped.
 
-Configuration defaults come from ``REPRO_SERVE_*`` environment
-variables (see :meth:`ServeConfig.from_env` and ``docs/config.md``).
+:class:`ServeConfig` holds the daemon's settings; ``repro serve`` builds
+it from its flags.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from .engine import ApplianceSeriesResult, InferenceEngine
 from .metrics import ServerMetrics
 from .protocol import (
     DEFAULT_PORT,
-    MAX_FRAME_BYTES,
     FrameError,
     FrameReader,
     FrameTooLarge,
@@ -83,6 +82,10 @@ from .protocol import (
 from .windowing import SlidingWindowPlan
 
 __all__ = ["ServeConfig", "ServingDaemon"]
+
+#: How long a graceful shutdown waits for queued and in-flight work,
+#: unless :meth:`ServingDaemon.shutdown` is given a ``timeout``.
+DRAIN_TIMEOUT_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -112,11 +115,8 @@ class ServeConfig:
     #: start`, so no live request ever pays a first-trace stall.  Off is
     #: mainly for tests with stub pipelines.
     warm_start: bool = True
-    max_frame_bytes: int = MAX_FRAME_BYTES
     #: Handler-side cap on waiting for a coalescer result.
     request_timeout_s: float = 60.0
-    #: How long a graceful shutdown waits for queued + in-flight work.
-    drain_timeout_s: float = 10.0
     #: Whether a client ``shutdown`` request may drain the daemon (keep
     #: on for CI and local fleets; front it with real auth before
     #: exposing beyond localhost).
@@ -131,34 +131,6 @@ class ServeConfig:
             raise ValueError(f"max_wait_us must be >= 0, got {self.max_wait_us}")
         if self.queue_depth <= 0:
             raise ValueError(f"queue_depth must be positive, got {self.queue_depth}")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "ServeConfig":
-        """Defaults from ``REPRO_SERVE_*`` variables, then ``overrides``.
-
-        Reads ``REPRO_SERVE_HOST``, ``REPRO_SERVE_PORT``,
-        ``REPRO_SERVE_MAX_BATCH`` (windows), ``REPRO_SERVE_MAX_WAIT_US``
-        and ``REPRO_SERVE_QUEUE_DEPTH``; explicit keyword arguments (the
-        CLI flags) win over the environment.
-        """
-        values: Dict[str, object] = {}
-        host = os.environ.get("REPRO_SERVE_HOST")
-        if host:
-            values["host"] = host
-        for key, env in (
-            ("port", "REPRO_SERVE_PORT"),
-            ("max_batch_windows", "REPRO_SERVE_MAX_BATCH"),
-            ("max_wait_us", "REPRO_SERVE_MAX_WAIT_US"),
-            ("queue_depth", "REPRO_SERVE_QUEUE_DEPTH"),
-        ):
-            raw = os.environ.get(env)
-            if raw:
-                try:
-                    values[key] = int(raw)
-                except ValueError as exc:
-                    raise ValueError(f"{env}={raw!r} is not an integer") from exc
-        values.update(overrides)
-        return cls(**values)
 
 
 class _PendingScore:
@@ -557,9 +529,7 @@ class ServingDaemon:
             if self._closed:
                 return
             self._draining = True
-        deadline = time.monotonic() + (
-            self.config.drain_timeout_s if timeout is None else timeout
-        )
+        deadline = time.monotonic() + (DRAIN_TIMEOUT_S if timeout is None else timeout)
         if self._sock is not None:
             try:
                 self._sock.close()  # acceptor's accept() raises OSError -> exits
@@ -622,7 +592,7 @@ class ServingDaemon:
                 self._connections[conn] = handler
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        reader = FrameReader(self.config.max_frame_bytes)
+        reader = FrameReader()
         try:
             while True:
                 try:

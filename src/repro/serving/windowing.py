@@ -13,8 +13,9 @@ aggregate series per household.  The bridge has two halves:
 
 * **stitching** — per-window, per-timestamp scores (soft status, CAM)
   come back as ``(n_windows, window)`` arrays.  With ``stride < window``
-  a timestamp is scored by several windows; :func:`stitch_mean` averages
-  those votes, which removes the hard artifacts a localization exhibits
+  a timestamp is scored by several windows; one stitcher averages those
+  votes (:func:`stitch_mean` over a whole batch, the store path chunk by
+  chunk), which removes the hard artifacts a localization exhibits
   at window boundaries (a window that cuts an activation in half sees
   only part of its signature).  Thresholding the stitched *soft* score —
   rather than voting on per-window *binary* statuses — is what the ADF
@@ -112,6 +113,42 @@ def slice_windows(series: np.ndarray, plan: SlidingWindowPlan) -> np.ndarray:
     return sliding_window_view(series, plan.window)[:: plan.stride]
 
 
+class _Stitcher:
+    """The overlap-mean stitcher, fed window chunks in window order.
+
+    :func:`stitch_mean` feeds it a whole batch at once and
+    ``InferenceEngine.score_store`` one chunk at a time; either way the
+    bits are the same.  With ``stride == window`` it concatenates float32
+    rows; otherwise it accumulates float64 sums in window order and
+    divides once by the coverage counts.
+    """
+
+    def __init__(self, plan: SlidingWindowPlan):
+        self.plan = plan
+        self._flat = self._sums = None
+        if plan.stride == plan.window:
+            self._flat = np.zeros(plan.padded_length, dtype=np.float32)
+        else:
+            self._sums = np.zeros(plan.padded_length, dtype=np.float64)
+
+    def add(self, first_window: int, values: np.ndarray) -> None:
+        """Fold in the scores of windows ``first_window, first_window + 1, ...``."""
+        start = self.plan.window_start(first_window)
+        if self._flat is not None:
+            self._flat[start : start + values.size] = values.reshape(-1)
+            return
+        for row in values:
+            self._sums[start : start + self.plan.window] += row
+            start += self.plan.stride
+
+    def finalize(self) -> np.ndarray:
+        """The stitched ``(T,)`` float32 series; padded samples dropped."""
+        n = self.plan.series_length
+        if self._flat is not None:
+            return self._flat[:n].copy()
+        return (self._sums[:n] / self.plan.coverage_counts()).astype(np.float32)
+
+
 def stitch_mean(values: np.ndarray, plan: SlidingWindowPlan) -> np.ndarray:
     """Average per-window scores back onto the series, shape ``(T,)``.
 
@@ -125,28 +162,6 @@ def stitch_mean(values: np.ndarray, plan: SlidingWindowPlan) -> np.ndarray:
             f"expected scores of shape {(plan.n_windows, plan.window)}, "
             f"got {values.shape}"
         )
-    if plan.stride == plan.window:
-        return values.reshape(-1)[: plan.series_length].copy()
-    sums = np.zeros(plan.padded_length, dtype=np.float64)
-    counts = np.zeros(plan.padded_length, dtype=np.float64)
-    for i in range(plan.n_windows):
-        start = plan.window_start(i)
-        sums[start : start + plan.window] += values[i]
-        counts[start : start + plan.window] += 1.0
-    return (sums[: plan.series_length] / counts[: plan.series_length]).astype(
-        np.float32
-    )
-
-
-def stitch_windows(
-    values: np.ndarray, plan: SlidingWindowPlan, threshold: float | None = None
-) -> np.ndarray:
-    """Stitch scores and optionally binarize at ``threshold``.
-
-    Convenience wrapper: ``stitch_windows(soft, plan, 0.5)`` yields the
-    per-timestamp binary status used by the reporting layer.
-    """
-    stitched = stitch_mean(values, plan)
-    if threshold is None:
-        return stitched
-    return (stitched >= threshold).astype(np.float32)
+    stitcher = _Stitcher(plan)
+    stitcher.add(0, values)
+    return stitcher.finalize()

@@ -6,9 +6,11 @@ from repro.cli import (
     COMMANDS,
     build_data_parser,
     build_parser,
+    build_serve_parser,
     build_train_parser,
     main,
 )
+from repro.serving import ServeConfig
 
 
 class TestParser:
@@ -109,6 +111,21 @@ class TestModelsCommand:
 
     def test_models_not_in_experiment_commands(self):
         assert "models" not in COMMANDS
+
+
+class TestServeParser:
+    def test_defaults_are_serve_config_defaults(self):
+        """The flags are the daemon's only settings source, so bare
+        ``repro serve`` must serve with ``ServeConfig()``."""
+        args = build_serve_parser().parse_args(["--demo"])
+        defaults = ServeConfig()
+        assert args.host == defaults.host
+        assert args.port == defaults.port
+        assert args.max_batch == defaults.max_batch_windows
+        assert args.max_wait_us == defaults.max_wait_us
+        assert args.queue_depth == defaults.queue_depth
+        assert (not args.no_coalesce) == defaults.coalesce
+        assert (not args.no_warm) == defaults.warm_start
 
 
 class TestDataParser:

@@ -20,6 +20,10 @@ every draw.  Example counts stay small so tier-1 stays fast.
   on the caller, and waits for lane 1 through an interrupt.  The lane
   count is forced through ``repro.nn.plan.plan_lanes``, so these run
   whatever the box's BLAS threads and CPUs.
+* **score_store == run**: a stored household scored in chunks of any
+  size, at any stride, with the power gate off or on, gets the soft
+  status, status and detection count of ``run`` on its whole series, bit
+  for bit.
 """
 
 import contextlib
@@ -37,12 +41,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.core import ResNetConfig, ResNetEnsemble, ResNetTSC
+from repro import simdata as sd
+from repro.core import CamAL, ResNetConfig, ResNetEnsemble, ResNetTSC
 from repro.core.grouped import COLUMN_BUDGET_BYTES
 from repro.core.resnet import DEFAULT_FILTERS, DEFAULT_KERNEL_SET
+from repro.data import AGGREGATE_CHANNEL, IngestConfig, ingest_corpus
 from repro.nn import backend, check_gradients
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.serving import EngineConfig, InferenceEngine, plan_windows
 
 KERNELS = ("reference", "im2col")
 #: Relative to the largest entry, as the fixed-shape equivalence tests pin it.
@@ -417,3 +424,49 @@ class TestLanes:
         assert nn.plan._lane_helper().thread is helper and helper.is_alive()
         assert got.proba.tobytes() == want.proba.tobytes()
         assert got.cam.tobytes() == want.cam.tobytes()
+
+
+STORE_WINDOW = 32
+
+
+@pytest.fixture(scope="module")
+def small_store(tmp_path_factory):
+    """Two 360-sample households in 100-sample shards, the last one partial."""
+    corpus = sd.ukdale_like(days=0.25, n_houses=2, seed=0)
+    out = str(tmp_path_factory.mktemp("store"))
+    return ingest_corpus(corpus, out, IngestConfig(shard_length=100))
+
+
+@st.composite
+def store_cases(draw, store):
+    """A household, a stride, a chunk size and a power gate for it."""
+    house = draw(st.sampled_from(store.house_ids))
+    stride = draw(st.integers(1, STORE_WINDOW))
+    n_windows = plan_windows(store.n_samples(house), STORE_WINDOW, stride).n_windows
+    chunk = draw(st.one_of(st.none(), st.integers(1, n_windows)))
+    # A percentile strictly inside the range: the aggregate straddles it.
+    gate_percentile = draw(st.one_of(st.none(), st.integers(10, 90)))
+    return house, stride, chunk, gate_percentile
+
+
+class TestScoreStoreMatchesRun:
+    """The stitcher and the ON rule merge chunks exactly as ``run`` scores
+    the whole series, shard-by-shard power gate included."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_any_chunk_size_equals_run(self, small_store, ensemble_of, data):
+        house, stride, chunk, gate_percentile = data.draw(store_cases(small_store))
+        series = np.asarray(small_store.read_channel(house, AGGREGATE_CHANNEL))
+        gate = None
+        if gate_percentile is not None:
+            gate = float(np.percentile(series, gate_percentile))
+        engine = InferenceEngine(EngineConfig(window=STORE_WINDOW, stride=stride))
+        pipeline = CamAL(ensemble_of("compact"), detection_threshold=0.0, power_gate_watts=gate)
+        engine.register("kettle", pipeline)
+        ref = engine.run(series).per_appliance["kettle"]
+        (_, scores), = engine.score_store(small_store, house_ids=[house], chunk_windows=chunk)
+        got = scores.per_appliance["kettle"]
+        assert got.soft_status.tobytes() == ref.soft_status.tobytes()
+        assert got.status.tobytes() == ref.status.tobytes()
+        assert got.n_detected == int(ref.windows.detected.sum())

@@ -32,12 +32,14 @@ from repro.core import (
 )
 from repro.api import load_pipelines, save_pipelines
 from repro.data import (
+    STORE_FORMAT_VERSION,
     IngestConfig,
     ManifestError,
     MeterStore,
     ShardCorruptionError,
     ingest_corpus,
     repair_household_from_source,
+    write_manifest,
 )
 from repro.nn.serialization import checksum as shard_checksum
 from repro.serving import (
@@ -333,8 +335,8 @@ class TestStoreSelfHealing:
             handle.write("{not json")
         with pytest.raises(ManifestError, match="not valid JSON"):
             MeterStore(store_dir)
-        with open(manifest_path, "w") as handle:
-            handle.write('{"format": 1}')
+        # Signed, so the load gets past the checksum to the missing table.
+        write_manifest(store_dir, {"format": STORE_FORMAT_VERSION})
         with pytest.raises(ManifestError, match="households"):
             MeterStore(store_dir)
         # An honest format-version mismatch stays a ValueError, like the
@@ -355,10 +357,36 @@ class TestStoreSelfHealing:
         first = next(iter(manifest["households"]))
         manifest["households"][first]["checksums"] = ["00" * 16]
         manifest["households"][first]["n_shards"] = 3
+        write_manifest(store_dir, manifest)  # re-signed: reach the count check
+        with pytest.raises(ManifestError, match="1 checksums for 3 shards"):
+            MeterStore(store_dir)
+
+    def test_edited_manifest_raises(self, store_dir):
+        """Hand-edited weak labels or sample counts never load silently."""
+        from repro.cli import main
+
+        manifest_path = os.path.join(store_dir, "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        entry = next(iter(manifest["households"].values()))
+        entry["possession"] = {name: not owned for name, owned in entry["possession"].items()}
+        entry["n_samples"] -= 1
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle, indent=2)
+        with pytest.raises(ManifestError, match="checksum mismatch"):
+            MeterStore(store_dir)
+        with pytest.raises(SystemExit, match="checksum mismatch"):
+            main(["data", "verify", store_dir])
+        # So does a manifest that lost its checksum.
+        del manifest["checksum"]
         with open(manifest_path, "w") as handle:
             json.dump(manifest, handle)
-        with pytest.raises(ManifestError, match="checksum"):
+        with pytest.raises(ManifestError, match="records None"):
             MeterStore(store_dir)
+        # A format-1 store (no manifest checksum) is refused by name.
+        write_manifest(store_dir, dict(manifest, format=1))
+        with pytest.raises(SystemExit, match="unsupported store format 1"):
+            main(["data", "verify", store_dir])
 
     def test_ingest_under_torn_writes_is_never_silent(self, corpus, tmp_path):
         out = str(tmp_path / "torn")

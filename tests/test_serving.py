@@ -20,7 +20,6 @@ from repro.serving import (
     plan_windows,
     slice_windows,
     stitch_mean,
-    stitch_windows,
 )
 
 TINY = ResNetConfig(kernel_size=3, filters=(4, 8, 8), seed=0)
@@ -149,12 +148,6 @@ class TestSlidingWindowPlan:
         assert np.allclose(
             stitch_mean(slice_windows(series, plan), plan), series, atol=1e-6
         )
-
-    def test_stitch_windows_threshold(self):
-        plan = plan_windows(8, 4)
-        soft = np.array([[0.4, 0.6, 0.5, 0.2], [0.9, 0.1, 0.5, 0.49]], np.float32)
-        binary = stitch_windows(soft, plan, threshold=0.5)
-        assert binary.tolist() == [0, 1, 1, 0, 1, 0, 1, 0]
 
 
 class TestStrideInvariance:
@@ -448,39 +441,17 @@ class TestInferenceEngine:
         """A pipeline trained with a non-0.5 soft-status threshold must be
         stitched at *its* threshold, not a global engine default."""
         series = self._series(n=320, seed=9)
-        camal = _camal(detection_threshold=0.0, status_threshold=0.7)
-
-        default_cfg = InferenceEngine(EngineConfig(window=32, stride=16))
-        default_cfg.register("kettle", camal)
-        explicit_same = InferenceEngine(
-            EngineConfig(window=32, stride=16, status_threshold=0.7)
-        )
-        explicit_same.register("kettle", camal)
-        old_global = InferenceEngine(
-            EngineConfig(window=32, stride=16, status_threshold=0.5)
-        )
-        old_global.register("kettle", camal)
-
-        status_default = default_cfg.run(series).status("kettle")
-        status_same = explicit_same.run(series).status("kettle")
-        status_old = old_global.run(series).status("kettle")
-        assert np.array_equal(status_default, status_same)
-        # The soft scores straddle 0.7, so imposing the old 0.5 global
-        # genuinely changes the answer — this is what used to happen.
-        assert not np.array_equal(status_default, status_old)
-
-    def test_engine_config_threshold_is_explicit_override(self):
-        series = self._series(n=320, seed=9)
-        camal = _camal(detection_threshold=0.0, status_threshold=0.7)
-        overridden = InferenceEngine(
-            EngineConfig(window=32, stride=16, status_threshold=0.9)
-        )
-        overridden.register("kettle", camal)
-        soft = overridden.run(series).per_appliance["kettle"].soft_status
-        expected = (soft >= 0.9).astype(np.float32)
-        assert np.array_equal(
-            overridden.run(series).status("kettle"), expected
-        )
+        engine = InferenceEngine(EngineConfig(window=32, stride=16))
+        engine.register("kettle", _camal(detection_threshold=0.0, status_threshold=0.7))
+        engine.register("at_half", _camal(detection_threshold=0.0, status_threshold=0.5))
+        result = engine.run(series)
+        kettle, at_half = result.per_appliance["kettle"], result.per_appliance["at_half"]
+        # Same weights, same soft scores: only the pipelines' thresholds differ.
+        assert np.array_equal(kettle.soft_status, at_half.soft_status)
+        assert np.array_equal(kettle.status, (kettle.soft_status >= 0.7).astype(np.float32))
+        # The soft scores straddle 0.7, so a 0.5 threshold genuinely
+        # changes the answer.
+        assert not np.array_equal(kettle.status, at_half.status)
 
     def test_matches_direct_localize_when_aligned(self):
         """Non-overlapping stride on an exact-multiple series reproduces

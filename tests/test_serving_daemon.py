@@ -32,6 +32,7 @@ from repro.serving import (
     ServingDaemon,
 )
 from repro.serving.protocol import (
+    MAX_FRAME_BYTES,
     FrameError,
     FrameReader,
     FrameTooLarge,
@@ -155,24 +156,6 @@ class TestProtocolUnits:
 
 
 class TestServeConfig:
-    def test_from_env_and_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_HOST", "0.0.0.0")
-        monkeypatch.setenv("REPRO_SERVE_PORT", "9911")
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "32")
-        monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_US", "500")
-        monkeypatch.setenv("REPRO_SERVE_QUEUE_DEPTH", "7")
-        config = ServeConfig.from_env(port=0)
-        assert config.host == "0.0.0.0"
-        assert config.port == 0  # explicit override beats the environment
-        assert config.max_batch_windows == 32
-        assert config.max_wait_us == 500
-        assert config.queue_depth == 7
-
-    def test_from_env_rejects_non_integer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_PORT", "lots")
-        with pytest.raises(ValueError, match="REPRO_SERVE_PORT"):
-            ServeConfig.from_env()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ServeConfig(queue_depth=0)
@@ -240,12 +223,11 @@ class TestDaemonScoring:
 
     def test_oversized_frame_closes_connection(self):
         engine = _engine()
-        config = ServeConfig(port=0, max_frame_bytes=4096)
-        with ServingDaemon(engine, config) as daemon:
+        with ServingDaemon(engine, ServeConfig(port=0)) as daemon:
             sock = socket.create_connection((daemon.host, daemon.port), timeout=30)
             reader = FrameReader()
             try:
-                sock.sendall(b"x" * 8192)  # no newline: unrecoverable
+                sock.sendall(b"x" * (MAX_FRAME_BYTES + 1))  # no newline: unrecoverable
                 frames = []
                 while True:
                     chunk = sock.recv(65536)
