@@ -8,6 +8,13 @@ measures the wall-clock win *and* verifies that equivalence, plus the
 checkpoint/resume contract (a resumed run reproduces the uninterrupted
 loss history exactly).
 
+The serial run is confined to one CPU, so it trains one candidate at a
+time.  A third run takes :func:`repro.core.train_ensemble`'s defaults,
+which train two candidates at a time in-process when
+:func:`repro.nn.plan.plan_lanes` gives two lanes (OpenBLAS on one thread,
+two or more CPUs): ``lanes_seconds`` times it, and it must select the
+serial run's ensemble too.
+
 Run standalone for the JSON report::
 
     PYTHONPATH=src python benchmarks/bench_training_throughput.py
@@ -26,6 +33,7 @@ import time
 
 import numpy as np
 
+from repro import nn
 from repro.core import (
     EnsembleConfig,
     ResNetConfig,
@@ -33,6 +41,7 @@ from repro.core import (
     train_ensemble,
     train_ensemble_parallel,
 )
+from repro.experiments.scalability import _on_one_cpu
 from repro.training import TrainConfig, state_dicts_equal, train_classifier
 
 N_WORKERS = 2
@@ -101,9 +110,15 @@ def run_benchmark(smoke: bool = False, n_workers: int = N_WORKERS) -> dict:
     config = _config(smoke)
     x, y = _spike_windows(n=96 if smoke else 192, w=32 if smoke else 64)
 
+    with _on_one_cpu():
+        start = time.perf_counter()
+        serial_ensemble, candidates = train_ensemble(x, y, x, y, config)
+        serial_seconds = time.perf_counter() - start
+
+    lanes = nn.plan.plan_lanes()
     start = time.perf_counter()
-    serial_ensemble, candidates = train_ensemble(x, y, x, y, config)
-    serial_seconds = time.perf_counter() - start
+    lanes_ensemble, _ = train_ensemble(x, y, x, y, config)
+    lanes_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     parallel_ensemble, _ = train_ensemble_parallel(
@@ -125,6 +140,9 @@ def run_benchmark(smoke: bool = False, n_workers: int = N_WORKERS) -> dict:
         "parallel_matches_serial": _ensembles_identical(
             serial_ensemble, parallel_ensemble
         ),
+        "lanes": lanes,
+        "lanes_seconds": lanes_seconds,
+        "lanes_match_serial": _ensembles_identical(serial_ensemble, lanes_ensemble),
         "resume_matches_uninterrupted": _check_resume(x, y, config.filters),
     }
 
@@ -138,9 +156,10 @@ def test_training_throughput():
     result = run_benchmark(smoke=not multi_core)
     print()
     print(json.dumps(result, indent=2))
-    # Correctness is asserted unconditionally: worker fan-out and
-    # checkpoint/resume must never change the trained ensemble.
+    # Correctness is asserted unconditionally: worker fan-out, candidate
+    # lanes and checkpoint/resume must never change the trained ensemble.
     assert result["parallel_matches_serial"]
+    assert result["lanes_match_serial"]
     assert result["resume_matches_uninterrupted"]
     if multi_core:
         assert result["speedup"] >= 1.5
@@ -152,5 +171,9 @@ if __name__ == "__main__":
     print(json.dumps(report, indent=2))
     # Exit non-zero when a correctness invariant breaks so CI pipelines
     # gate on the run itself, not just on the uploaded artifact.
-    if not (report["parallel_matches_serial"] and report["resume_matches_uninterrupted"]):
+    if not (
+        report["parallel_matches_serial"]
+        and report["lanes_match_serial"]
+        and report["resume_matches_uninterrupted"]
+    ):
         sys.exit(1)

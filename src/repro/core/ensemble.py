@@ -6,9 +6,11 @@ training / early stopping), evaluate every candidate on the *separate*
 validation set, and keep the ``n`` models with the lowest validation loss.
 
 The candidates are fully independent — each is seeded by a deterministic
-function of ``(seed, kernel, trial)`` — so :func:`train_ensemble` can fan
-them out over a ``ProcessPoolExecutor`` (``n_workers > 1``, or the
-:func:`train_ensemble_parallel` convenience wrapper) and produce results
+function of ``(seed, kernel, trial)`` — so :func:`train_ensemble` can
+train two at a time on two threads in-process (when
+:func:`repro.nn.plan.plan_lanes` allows two lanes) or fan them out over a
+``ProcessPoolExecutor`` (``n_workers > 1``, or the
+:func:`train_ensemble_parallel` convenience wrapper), and produce results
 bit-identical to the serial order.  With ``checkpoint_dir`` set, every
 candidate writes a resumable per-candidate checkpoint (see
 :mod:`repro.training.checkpoint`), so an interrupted ensemble run picks up
@@ -19,7 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -375,6 +379,45 @@ def _train_candidate(
     return plan, model.state_dict(), float(val_loss), result.wall_time_seconds
 
 
+def _train_on_two_lanes(plans: Sequence[_CandidatePlan], data: Tuple) -> List:
+    """Train the candidates two at a time on a two-thread executor.
+
+    The largest kernels go first, so the longest candidates do not start
+    last and leave one lane idle at the end.  A candidate is handed to the
+    executor only when a lane is free and none has failed: after a
+    failure or an interrupt, the candidates not yet started never run.
+    Either is raised here once the running candidates have ended, and no
+    executor thread outlives the call.  Outcomes come back in grid order.
+    """
+    todo = sorted(range(len(plans)), key=lambda i: -plans[i][1])
+    outcomes: List = [None] * len(plans)
+    running = {}  # future -> grid index
+    finished = queue.SimpleQueue()  # futures, as they end
+    executor = ThreadPoolExecutor(max_workers=2, thread_name_prefix="repro-candidate")
+    try:
+        while todo or running:
+            while todo and len(running) < 2:
+                index = todo.pop(0)
+                future = executor.submit(_train_candidate, plans[index], data)
+                running[future] = index
+                future.add_done_callback(finished.put)
+            future = finished.get()
+            outcomes[running.pop(future)] = future.result()
+    finally:
+        # Wait for the running candidates even through an interrupt, and
+        # raise it after, as LaneStep does for its lane 1.
+        interrupt = None
+        while True:
+            try:
+                executor.shutdown(wait=True, cancel_futures=True)
+                break
+            except BaseException as exc:
+                interrupt = exc
+        if interrupt is not None:
+            raise interrupt
+    return outcomes
+
+
 def _init_worker(data: Tuple) -> None:
     global _WORKER_DATA
     _WORKER_DATA = data
@@ -401,9 +444,11 @@ def train_ensemble(
             (Algorithm 1's ``D_validation``).
         config: ensemble and training hyper-parameters.
         n_workers: worker processes to train candidates on.  ``1`` (the
-            default) trains serially in-process; any value is safe — the
-            candidates are seed-isolated, so the selected ensemble is
-            identical regardless of worker count.
+            default) trains in-process: two candidates at a time on two
+            threads when :func:`repro.nn.plan.plan_lanes` (read at call
+            time) gives two lanes, one after another otherwise.  Any
+            value is safe — the candidates are seed-isolated, so the
+            selected ensemble is identical regardless of worker count.
         checkpoint_dir: when set, each candidate checkpoints its epochs to
             ``<dir>/candidate_i<ki>_k<ks>_t<trial>_s<seed>_d<digest>.npz``
             (digest = hash of the training data + architecture) and
@@ -439,6 +484,8 @@ def train_ensemble(
             # executor.map preserves submission order, so the merge below is
             # independent of which worker finishes first.
             outcomes = list(pool.map(_train_candidate_in_worker, plans))
+    elif len(plans) > 1 and nn.plan.plan_lanes() == 2:
+        outcomes = _train_on_two_lanes(plans, data)
     else:
         outcomes = [_train_candidate(plan, data) for plan in plans]
 

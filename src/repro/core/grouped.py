@@ -188,7 +188,7 @@ def _conv_tile(gather: Callable[[], None], *gemm_args) -> None:
 
 def _count_gemms(n: int) -> None:
     """Count a lane step's ``n`` tiles on the replaying thread, once both
-    lanes are done (the counters are not thread-safe)."""
+    lanes are done."""
     counters.record("fused_conv_calls", n)
     counters.record("fused_conv_gemms", n)
 

@@ -50,20 +50,26 @@ def run_training_times(
     methods: Optional[Sequence[str]] = None,
     seed: int = 0,
 ) -> TrainingTimeResult:
-    """Average wall-clock training time of each method over ``cases``."""
+    """Average wall-clock training time of each method over ``cases``.
+
+    Every method trains confined to one CPU, as each baseline trains on
+    one: CamAL would otherwise train two Algorithm-1 candidates at a time
+    (:func:`repro.core.train_ensemble`'s lanes).
+    """
     methods = list(
         methods
         or ["CamAL", "CRNN-weak", "CRNN", "BiGRU", "UNet-NILM", "TPNILM", "TransNILM"]
     )
     corpora = {}
     times: Dict[str, List[float]] = {m: [] for m in methods}
-    for corpus_name, appliance in cases:
-        if corpus_name not in corpora:
-            corpora[corpus_name] = build_corpus(corpus_name, preset, seed)
-        case = case_windows(corpora[corpus_name], appliance, preset.window, split_seed=seed)
-        for method in methods:
-            result = run_model(method, case, preset, seed=seed)
-            times[method].append(result.train_seconds)
+    with _on_one_cpu():
+        for corpus_name, appliance in cases:
+            if corpus_name not in corpora:
+                corpora[corpus_name] = build_corpus(corpus_name, preset, seed)
+            case = case_windows(corpora[corpus_name], appliance, preset.window, split_seed=seed)
+            for method in methods:
+                result = run_model(method, case, preset, seed=seed)
+                times[method].append(result.train_seconds)
     return TrainingTimeResult(
         seconds_per_method={m: float(np.mean(ts)) for m, ts in times.items()}
     )

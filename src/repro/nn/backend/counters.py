@@ -15,6 +15,7 @@ package (which imports them).
 
 from __future__ import annotations
 
+import threading
 from typing import Dict
 
 #: fused_conv_calls — invocations of a fused conv+scale/shift+ReLU entry
@@ -25,19 +26,25 @@ _COUNTS: Dict[str, int] = {
     "fused_conv_calls": 0,
     "fused_conv_gemms": 0,
 }
+#: Threads that count at the same time (Algorithm 1's candidate lanes, a
+#: plan's lane helper) update under this lock, so no increment is lost.
+_LOCK = threading.Lock()
 
 
 def record(key: str, n: int = 1) -> None:
     """Increment a counter (missing keys start at zero)."""
-    _COUNTS[key] = _COUNTS.get(key, 0) + n
+    with _LOCK:
+        _COUNTS[key] = _COUNTS.get(key, 0) + n
 
 
 def op_counts() -> Dict[str, int]:
     """Snapshot of all counters."""
-    return dict(_COUNTS)
+    with _LOCK:
+        return dict(_COUNTS)
 
 
 def reset_op_counts() -> None:
     """Zero every counter (tests call this around a measured region)."""
-    for key in _COUNTS:
-        _COUNTS[key] = 0
+    with _LOCK:
+        for key in _COUNTS:
+            _COUNTS[key] = 0

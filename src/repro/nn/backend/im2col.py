@@ -16,7 +16,10 @@ x_pad[n, c, s*stride + j]`` — shape ``(C_in*K, N*L_out)`` — on every call:
   column block in place (row stride ``N*L_out``) and writes straight into
   the ``(N, C_out, L_out)`` output, so neither operand is copied;
 * dW: ``G @ cols.T``, one GEMM, where ``G`` is ``grad`` regrouped as
-  ``(C_out, N*L_out)`` (one small copy; the columns are never copied);
+  ``(C_out, N*L_out)`` (one small copy).  The backward context keeps the
+  padded input, ``K`` times smaller than the columns, and the columns are
+  gathered again from it by the forward's own copy loop, so they carry
+  the same bits;
 * dX: ``d_cols = W2.T @ G``, one GEMM, followed by a K-slice col2im
   scatter-add (the exact adjoint of the forward copy loop).
 
@@ -52,15 +55,15 @@ NAME = "im2col"
 class Ctx:
     """Saved forward state for the backward contractions.
 
-    ``cols`` is the forward's own channel-major column buffer (never a
-    pool buffer), kept so :func:`grad_weight` can contract it in place as
-    the transposed right operand of one GEMM.
+    ``x_pad`` is the forward's padded input (never a pool buffer), not its
+    ``(C_in*K, N*L_out)`` columns: the graph of a training batch holds
+    every conv's context until its backward runs, and the columns are
+    ``K`` times larger.  :func:`grad_weight` gathers them again.
     """
 
-    cols: np.ndarray  # (C_in*K, N*L_out)
+    x_pad: np.ndarray  # (N, C_in, L_pad)
     weight: np.ndarray  # (C_out, C_in, K)
     stride: int
-    l_pad: int
 
 
 def _grad_buffer(shape, dtype=DTYPE) -> np.ndarray:
@@ -70,22 +73,29 @@ def _grad_buffer(shape, dtype=DTYPE) -> np.ndarray:
     return np.empty(shape, dtype)
 
 
-def _conv(
-    x_pad: np.ndarray, weight: np.ndarray, stride: int, alloc
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Gather the channel-major columns, then one GEMM per sample.
+def _gather(x_pad: np.ndarray, kernel: int, stride: int, alloc) -> np.ndarray:
+    """The channel-major columns ``(C_in, K, N, L_out)`` of ``x_pad``.
 
-    Returns ``(out, cols)``; ``alloc`` (``scratch`` or :func:`_grad_buffer`)
-    supplies both buffers.
+    ``alloc`` (``scratch`` or :func:`_grad_buffer`) supplies the buffer.
     """
     n, c_in, l_pad = x_pad.shape
-    c_out, _, kernel = weight.shape
     l_out = (l_pad - kernel) // stride + 1
     cols4 = alloc((c_in, kernel, n, l_out), x_pad.dtype)
     span = (l_out - 1) * stride + 1
     for j in range(kernel):  # cols4[c, j, n, s] = x_pad[n, c, s*stride + j]
         np.copyto(cols4[:, j], x_pad[:, :, j : j + span : stride].transpose(1, 0, 2))
-    cols = cols4.reshape(c_in * kernel, n * l_out)
+    return cols4
+
+
+def _conv(x_pad: np.ndarray, weight: np.ndarray, stride: int, alloc) -> np.ndarray:
+    """Gather the channel-major columns, then one GEMM per sample.
+
+    ``alloc`` (``scratch`` or :func:`_grad_buffer`) supplies the columns
+    and the output.
+    """
+    c_out, c_in, kernel = weight.shape
+    cols4 = _gather(x_pad, kernel, stride, alloc)
+    n, l_out = cols4.shape[2:]
     out = alloc((n, c_out, l_out), x_pad.dtype)
     per_sample = cols4.reshape(c_in * kernel, n, l_out).transpose(1, 0, 2)
     if c_out == 1:
@@ -96,15 +106,14 @@ def _conv(
         np.copyto(sample_major, per_sample)
         per_sample = sample_major
     np.matmul(weight.reshape(c_out, c_in * kernel), per_sample, out=out)
-    return out, cols
+    return out
 
 
 def forward(
     x_pad: np.ndarray, weight: np.ndarray, stride: int, keep_ctx: bool
 ) -> Tuple[np.ndarray, Optional[Ctx]]:
-    out, cols = _conv(x_pad, weight, stride, _grad_buffer if keep_ctx else scratch)
-    ctx = Ctx(cols, weight, stride, x_pad.shape[2]) if keep_ctx else None
-    return out, ctx
+    out = _conv(x_pad, weight, stride, _grad_buffer if keep_ctx else scratch)
+    return out, Ctx(x_pad, weight, stride) if keep_ctx else None
 
 
 def forward_fused(
@@ -122,7 +131,7 @@ def forward_fused(
     (pooled) output buffer instead of paying an extra pass per stage.  No
     backward context exists on this path by construction.
     """
-    out, _ = _conv(x_pad, weight, stride, scratch)
+    out = _conv(x_pad, weight, stride, scratch)
     counters.record("fused_conv_calls")
     counters.record("fused_conv_gemms")
     if shift is not None:
@@ -142,7 +151,9 @@ def _grad_matrix(grad: np.ndarray) -> np.ndarray:
 
 def grad_weight(ctx: Ctx, grad: np.ndarray) -> np.ndarray:
     # dW2[o, ck] = sum_{n, s} grad[n, o, s] * cols[ck, n*L_out + s]
-    d_w2 = _grad_matrix(grad) @ ctx.cols.T
+    n, _, l_out = grad.shape
+    cols4 = _gather(ctx.x_pad, ctx.weight.shape[2], ctx.stride, _grad_buffer)
+    d_w2 = _grad_matrix(grad) @ cols4.reshape(-1, n * l_out).T
     return d_w2.reshape(ctx.weight.shape)
 
 
@@ -151,7 +162,7 @@ def grad_input(ctx: Ctx, grad: np.ndarray) -> np.ndarray:
     c_out, c_in, kernel = ctx.weight.shape
     w2 = ctx.weight.reshape(c_out, c_in * kernel)
     d_cols = (w2.T @ _grad_matrix(grad)).reshape(c_in, kernel, n, l_out)
-    d_xp = _grad_buffer((n, c_in, ctx.l_pad))
+    d_xp = _grad_buffer((n, c_in, ctx.x_pad.shape[2]))
     d_xp.fill(0.0)
     span = (l_out - 1) * ctx.stride + 1
     for j in range(kernel):  # adjoint of the forward copy loop

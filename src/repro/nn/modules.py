@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Tuple
 
@@ -12,7 +13,9 @@ from .tensor import Tensor
 #: Process-wide count of Module.__call__ dispatches.  Cheap enough to keep
 #: always-on; plan-replay tests assert it stays flat across a replay (the
 #: whole point of a traced plan is that no module dispatch happens at all).
+#: Threads that dispatch at the same time count under the lock.
 _module_calls = 0
+_module_calls_lock = threading.Lock()
 
 
 def module_calls() -> int:
@@ -135,7 +138,8 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         global _module_calls
-        _module_calls += 1
+        with _module_calls_lock:
+            _module_calls += 1
         return self.forward(*args, **kwargs)
 
 

@@ -4,8 +4,9 @@ This module is the foundation of the ``repro.nn`` substrate: a small but
 complete autograd engine in the spirit of PyTorch's eager mode.  A
 :class:`Tensor` wraps a ``numpy.ndarray`` and records, for every operation,
 a backward closure plus references to its parent tensors.  Calling
-:meth:`Tensor.backward` runs a topological sort over the recorded graph and
-accumulates gradients into every tensor created with ``requires_grad=True``.
+:meth:`Tensor.backward` runs a topological sort over the recorded graph,
+accumulates gradients into every tensor created with ``requires_grad=True``
+and frees the graph behind it.
 
 Only the primitives needed by the CamAL reproduction are implemented, but
 each supports full NumPy broadcasting where that is meaningful.  Heavier
@@ -36,8 +37,10 @@ _grad_mode = _GradMode()
 
 #: Running count of graph nodes created (ops recorded with a backward
 #: closure).  Regression tests diff this around inference passes to prove
-#: that ``no_grad`` builds zero graph nodes.
+#: that ``no_grad`` builds zero graph nodes.  Threads that build graphs at
+#: the same time (Algorithm 1's candidate lanes) add under the lock.
 _graph_nodes_created = 0
+_graph_nodes_lock = threading.Lock()
 
 
 def graph_nodes_created() -> int:
@@ -69,6 +72,14 @@ class no_grad:
 def is_grad_enabled() -> bool:
     """Return whether operations in this thread record the autograd graph."""
     return _grad_mode.enabled
+
+
+def _freed_graph(grad: np.ndarray) -> None:
+    """The backward closure of a node whose graph a ``backward()`` freed."""
+    raise RuntimeError(
+        "backward() through a graph that an earlier backward() has freed; "
+        "run the forward again to build a new graph"
+    )
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -124,7 +135,8 @@ class Tensor:
         out = Tensor(data, requires_grad=requires)
         if requires:
             global _graph_nodes_created
-            _graph_nodes_created += 1
+            with _graph_nodes_lock:
+                _graph_nodes_created += 1
             out._backward = backward
             out._parents = parents
             out.op = op
@@ -189,9 +201,19 @@ class Tensor:
     # Backward pass
     # ------------------------------------------------------------------
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor through the recorded graph.
+
+        The graph is freed as the pass goes, as PyTorch frees it without
+        ``retain_graph``: once a node's backward closure has run, the node
+        drops the closure, and with it the forward state the closure saved,
+        and its parents.  So a batch's graph dies with its ``backward()``
+        instead of living on while the next batch builds its own.  A
+        second ``backward()`` through a freed node raises ``RuntimeError``.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
+        if self._backward is _freed_graph:
+            _freed_graph(grad)
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("backward() without gradient on non-scalar tensor")
@@ -215,10 +237,15 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                if node is not self and node._parents:
+        while topo:
+            node = topo.pop()  # reverse topological order
+            backward = node._backward
+            if backward is None:
+                continue
+            node._backward, node._parents = _freed_graph, ()
+            if node.grad is not None:
+                backward(node.grad)
+                if node is not self:
                     # Interior nodes do not need to retain gradients.
                     node.grad = None
 

@@ -61,10 +61,14 @@ def _sample_event_starts(
         return []
     hour_weights = np.asarray(spec.hour_weights, dtype=np.float64)
     hour_probs = hour_weights / hour_weights.sum()
+    # The CDF ``rng.choice(24, p=hour_probs)`` builds on every call, built
+    # once: the draw below reads the same double and so the same hour.
+    hour_cdf = hour_probs.cumsum()
+    hour_cdf /= hour_cdf[-1]
     starts = []
     for _ in range(count):
         day = rng.integers(0, max(int(np.ceil(days)), 1))
-        hour = rng.choice(24, p=hour_probs)
+        hour = int(hour_cdf.searchsorted(rng.random(), side="right"))
         minute = rng.uniform(0.0, 60.0)
         t_seconds = day * 86400.0 + hour * 3600.0 + minute * 60.0
         index = int(t_seconds / dt_seconds)

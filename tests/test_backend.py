@@ -510,6 +510,56 @@ class TestEnsembleArena:
         assert not failures
 
 
+class TestSharedCounters:
+    """Process-wide counters that threads training at once all write."""
+
+    def test_totals_are_exact_under_thread_contention(self):
+        import threading
+
+        from repro.nn.backend import counters
+
+        class Nop(nn.Module):
+            def forward(self, x):
+                return x
+
+        n_threads = 2 * (os.cpu_count() or 1) + 2
+        rounds = 2000
+        start = threading.Barrier(n_threads)
+        failures = []
+
+        def worker():
+            try:
+                start.wait(10.0)
+                nop = Nop()
+                w = Tensor([1.0], requires_grad=True)
+                for _ in range(rounds):
+                    counters.record("fused_conv_calls")
+                    w * 2.0  # one graph node
+                    nop(w)
+            except Exception as exc:
+                failures.append(repr(exc))
+
+        before = (
+            backend.op_counts()["fused_conv_calls"], graph_nodes_created(), nn.module_calls()
+        )
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        after = (
+            backend.op_counts()["fused_conv_calls"], graph_nodes_created(), nn.module_calls()
+        )
+        assert [b - a for a, b in zip(before, after)] == [n_threads * rounds] * 3
+
+
 class TestUpsampleSegmentSum:
     """Oracle test: the bincount backward equals the old ``np.add.at`` path."""
 

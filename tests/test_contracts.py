@@ -20,6 +20,13 @@ every draw.  Example counts stay small so tier-1 stays fast.
   on the caller, and waits for lane 1 through an interrupt.  The lane
   count is forced through ``repro.nn.plan.plan_lanes``, so these run
   whatever the box's BLAS threads and CPUs.
+* **Algorithm 1 on one lane == on two lanes == on two worker
+  processes**: the candidates' weights and validation losses and the
+  selected members are the same bits however the candidates are spread,
+  with or without per-candidate checkpoints.  A candidate that fails on
+  either lane is raised on the caller once the other lane's candidate
+  has ended, the candidates not yet started never run, and no lane
+  thread outlives the call; an interrupt is handled the same way.
 * **score_store == run**: a stored household scored in chunks of any
   size, at any stride, with the power gate off or on, gets the soft
   status, status and detection count of ``run`` on its whole series, bit
@@ -31,6 +38,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from unittest import mock
@@ -42,7 +50,8 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro import simdata as sd
-from repro.core import CamAL, ResNetConfig, ResNetEnsemble, ResNetTSC
+from repro.core import CamAL, EnsembleConfig, ResNetConfig, ResNetEnsemble, ResNetTSC
+from repro.core import ensemble as algorithm1
 from repro.core.grouped import COLUMN_BUDGET_BYTES
 from repro.core.resnet import DEFAULT_FILTERS, DEFAULT_KERNEL_SET
 from repro.data import AGGREGATE_CHANNEL, IngestConfig, ingest_corpus
@@ -50,6 +59,7 @@ from repro.nn import backend, check_gradients
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.serving import EngineConfig, InferenceEngine, plan_windows
+from repro.training import TrainConfig, state_dicts_equal
 
 KERNELS = ("reference", "im2col")
 #: Relative to the largest entry, as the fixed-shape equivalence tests pin it.
@@ -424,6 +434,143 @@ class TestLanes:
         assert nn.plan._lane_helper().thread is helper and helper.is_alive()
         assert got.proba.tobytes() == want.proba.tobytes()
         assert got.cam.tobytes() == want.cam.tobytes()
+
+
+@st.composite
+def algorithm1_cases(draw):
+    """An ensemble seed and a candidate grid: 1-4 kernels, repeats allowed."""
+    return dict(
+        seed=draw(st.integers(0, 2**16)),
+        kernels=tuple(draw(st.lists(st.sampled_from((3, 5, 7)), min_size=1, max_size=4))),
+        n_trials=draw(st.integers(1, 2)),
+        epochs=draw(st.integers(1, 2)),
+        checkpoint=draw(st.booleans()),
+    )
+
+
+def _algorithm1(case, n_windows=24, **kwargs):
+    """``train_ensemble`` on seeded spike windows, in a fresh checkpoint
+    directory when the case asks for one."""
+    rng = np.random.default_rng(case["seed"])
+    x = (rng.random((n_windows, 32)) * 0.2).astype(np.float32)
+    y = np.arange(n_windows) % 2
+    x[y == 1, 10:14] += 2.0
+    config = EnsembleConfig(
+        kernel_set=case["kernels"],
+        n_trials=case["n_trials"],
+        n_models=2,
+        filters=(4, 8, 8),
+        train=TrainConfig(epochs=case["epochs"], batch_size=8, patience=0),
+        seed=case["seed"],
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        return algorithm1.train_ensemble(
+            x, y, x[:8], y[:8], config,
+            checkpoint_dir=directory if case["checkpoint"] else None, **kwargs,
+        )
+
+
+def _assert_same_run(got, want):
+    (got_ensemble, got_candidates), (want_ensemble, want_candidates) = got, want
+    assert [(c.kernel_size, c.trial, c.val_loss) for c in got_candidates] == [
+        (c.kernel_size, c.trial, c.val_loss) for c in want_candidates
+    ]
+    for a, b in zip(got_candidates, want_candidates):
+        assert state_dicts_equal(a.model.state_dict(), b.model.state_dict())
+    assert len(got_ensemble) == len(want_ensemble)
+    for a, b in zip(got_ensemble.models, want_ensemble.models):
+        assert state_dicts_equal(a.state_dict(), b.state_dict())
+
+
+def _lane_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("repro-candidate")]
+
+
+#: A grid of four candidates: lanes start kernels 9 and 7, then 5 and 3.
+FOUR_CANDIDATES = dict(seed=1, kernels=(3, 5, 7, 9), n_trials=1, epochs=1, checkpoint=False)
+
+
+class TestAlgorithm1Lanes:
+    """Two candidates at a time change nothing but the time."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(algorithm1_cases())
+    def test_two_lanes_train_the_one_lane_candidates(self, case):
+        with _lanes(1):
+            one = _algorithm1(case)
+        with _lanes(2):
+            two = _algorithm1(case)
+        _assert_same_run(two, one)
+        assert not _lane_threads()
+
+    @settings(max_examples=2, deadline=None, derandomize=True)
+    @given(algorithm1_cases())
+    def test_worker_processes_train_the_one_lane_candidates(self, case):
+        with _lanes(1):
+            one = _algorithm1(case, n_windows=16)
+        _assert_same_run(_algorithm1(case, n_windows=16, n_workers=2), one)
+
+    @pytest.mark.parametrize("failing_kernel", [9, 7], ids=["lane0", "lane1"])
+    def test_a_failed_candidate_is_raised_after_the_other_lane_ends(self, failing_kernel):
+        train = algorithm1._train_candidate
+        both_started = threading.Barrier(2)
+        failed = threading.Event()
+        started, ended = [], []
+
+        def candidate(plan, data):
+            started.append(plan[1])
+            both_started.wait(10)
+            if plan[1] == failing_kernel:
+                failed.set()
+                raise RuntimeError("candidate failed")
+            assert failed.wait(10)
+            time.sleep(0.05)  # the caller has seen the failure by now
+            outcome = train(plan, data)
+            ended.append(plan[1])
+            return outcome
+
+        with _lanes(2), mock.patch.object(algorithm1, "_train_candidate", candidate):
+            with pytest.raises(RuntimeError, match="candidate failed"):
+                _algorithm1(FOUR_CANDIDATES)
+        assert sorted(started) == [7, 9]  # kernels 5 and 3 never started
+        assert ended == [16 - failing_kernel]
+        assert not _lane_threads()
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_an_interrupt_is_raised_after_the_running_candidates_end(self):
+        """A signal handler raising (as Ctrl-C raises KeyboardInterrupt)
+        while the caller waits for its lanes."""
+
+        class Interrupt(Exception):
+            pass
+
+        def on_signal(signum, frame):
+            raise Interrupt
+
+        train = algorithm1._train_candidate
+        main = threading.main_thread().ident
+        both_started = threading.Barrier(2)
+        started, ended = [], []
+
+        def candidate(plan, data):
+            started.append(plan[1])
+            both_started.wait(10)
+            if plan[1] == 9:
+                signal.pthread_kill(main, signal.SIGUSR1)
+            time.sleep(0.05)
+            outcome = train(plan, data)
+            ended.append(plan[1])
+            return outcome
+
+        previous = signal.signal(signal.SIGUSR1, on_signal)
+        try:
+            with _lanes(2), mock.patch.object(algorithm1, "_train_candidate", candidate):
+                with pytest.raises(Interrupt):
+                    _algorithm1(FOUR_CANDIDATES)
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        assert sorted(started) == sorted(ended) == [7, 9]
+        assert not _lane_threads()
 
 
 STORE_WINDOW = 32

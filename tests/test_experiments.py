@@ -158,3 +158,31 @@ class TestThroughputIsSingleCpu:
         assert set(seen) == {(1, 1)}
         assert os.sched_getaffinity(0) == before
         assert [length for length, _ in result.series["CamAL"]] == [16]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+class TestTrainingTimesAreSingleCpu:
+    def test_every_method_trains_confined_to_one_cpu(self, monkeypatch):
+        """Fig. 7a compares methods on one CPU each: CamAL's Algorithm 1
+        sees one lane; the affinity comes back afterwards."""
+        import types
+
+        from repro import nn
+        from repro.experiments import scalability
+
+        before = os.sched_getaffinity(0)
+        seen = []
+
+        def fake_run_model(method, case, preset, seed):
+            seen.append((method, len(os.sched_getaffinity(0)), nn.plan.plan_lanes()))
+            return types.SimpleNamespace(train_seconds=1.0)
+
+        monkeypatch.setattr(scalability, "build_corpus", lambda *args: None)
+        monkeypatch.setattr(scalability, "case_windows", lambda *args, **kwargs: None)
+        monkeypatch.setattr(scalability, "run_model", fake_run_model)
+        result = ex.run_training_times(
+            ex.get_preset("bench"), [("ukdale", "kettle")], methods=["CamAL", "TPNILM"]
+        )
+        assert seen == [("CamAL", 1, 1), ("TPNILM", 1, 1)]
+        assert os.sched_getaffinity(0) == before
+        assert result.seconds_per_method == {"CamAL": 1.0, "TPNILM": 1.0}

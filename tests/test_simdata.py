@@ -1,10 +1,16 @@
 """Tests for the synthetic smart-meter substrate (signatures, households,
 corpora)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import simdata as sd
+from repro.simdata.appliances import get_spec
+from repro.simdata.household import _sample_event_starts
 
 
 class TestApplianceSpecs:
@@ -69,6 +75,47 @@ class TestSignatures:
         fine = sd.generate_activation("kettle", 10.0, 60.0, rng)
         coarse = sd.generate_activation("kettle", 10.0, 600.0, rng)
         assert len(fine) == 10 and len(coarse) == 1
+
+
+def _event_starts_with_choice(spec, n, dt_seconds, rng, usage_scale):
+    """The activation draw loop written with ``rng.choice``: the reference."""
+    days = n / (86400.0 / dt_seconds)
+    count = rng.poisson(max(spec.events_per_day * usage_scale, 0.0) * days)
+    hour_weights = np.asarray(spec.hour_weights, dtype=np.float64)
+    hour_probs = hour_weights / hour_weights.sum()
+    starts = []
+    for _ in range(count):
+        day = rng.integers(0, max(int(np.ceil(days)), 1))
+        hour = rng.choice(24, p=hour_probs)
+        minute = rng.uniform(0.0, 60.0)
+        index = int((day * 86400.0 + hour * 3600.0 + minute * 60.0) / dt_seconds)
+        if index < n:
+            starts.append(index)
+    return sorted(starts)
+
+
+class TestEventStarts:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        weights=st.lists(st.floats(0.0, 10.0), min_size=24, max_size=24),
+        peak=st.integers(0, 23),
+        appliance=st.sampled_from(sorted(sd.APPLIANCES)),
+        events_per_day=st.floats(0.5, 40.0),
+        days=st.integers(1, 5),
+    )
+    def test_hours_match_rng_choice(self, seed, weights, peak, appliance, events_per_day, days):
+        """The same starts as ``rng.choice`` draws, and the generator ends
+        in the same state, so the draws after them do not move either."""
+        weights[peak] += 1.0
+        spec = replace(
+            get_spec(appliance), hour_weights=tuple(weights), events_per_day=events_per_day
+        )
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        n = days * 1440
+        got = _sample_event_starts(spec, n, 60.0, got_rng, 1.0)
+        assert got == _event_starts_with_choice(spec, n, 60.0, want_rng, 1.0)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestHouseholdSimulation:

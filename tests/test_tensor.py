@@ -143,6 +143,62 @@ class TestBackwardBasics:
         assert x.grad[0] == pytest.approx(7.0)
 
 
+class TestBackwardFreesTheGraph:
+    """Once a node's backward has run, it drops its closure and parents."""
+
+    def test_a_second_backward_raises(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (w * Tensor([3.0, 4.0])).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            loss.backward()
+        # A silent second pass would leave a multiple of the gradient here.
+        assert np.array_equal(w.grad, [3.0, 4.0])
+        assert loss._parents == ()
+
+    def test_backward_through_a_node_another_backward_freed_raises(self):
+        w = Tensor([2.0], requires_grad=True)
+        shared = w * 3.0
+        shared.sum().backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            (shared * 2.0).sum().backward()
+
+    def test_a_new_forward_builds_a_new_graph(self):
+        w = Tensor([2.0], requires_grad=True)
+        for _ in range(2):
+            (w * 3.0).sum().backward()
+        assert w.grad[0] == pytest.approx(6.0)
+
+    def test_a_conv_saved_input_dies_with_its_backward(self):
+        """The saved padded inputs of a training batch's convs are freed by
+        its backward(), while the loss and the logits are still held."""
+        import weakref
+        from unittest import mock
+
+        from repro.core import ResNetConfig, ResNetTSC
+        from repro.nn import backend
+        from repro.nn import functional as F
+        from repro.nn.backend import im2col
+
+        model = ResNetTSC(ResNetConfig(kernel_size=5, filters=(4, 8, 8), seed=0))
+        x = np.random.default_rng(0).random((3, 32)).astype(np.float32)
+        saved = []
+        forward = im2col.forward
+
+        def recording(*args, **kwargs):
+            out, ctx = forward(*args, **kwargs)
+            saved.append(weakref.ref(ctx.x_pad))
+            return out, ctx
+
+        with backend.use_backend("im2col"), mock.patch.object(im2col, "forward", recording):
+            logits = model(Tensor(x[:, None, :]))
+            loss = F.cross_entropy(logits, np.array([0, 1, 1]))
+        assert saved and all(ref() is not None for ref in saved)
+        loss.backward()
+        assert all(ref() is None for ref in saved)
+        assert logits._parents == () and loss._parents == ()
+
+
 class TestBroadcastingGrads:
     def test_add_broadcast_bias(self):
         x = Tensor(np.ones((4, 3)), requires_grad=True)

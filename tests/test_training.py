@@ -12,7 +12,6 @@ from repro.core import (
     ResNetConfig,
     ResNetTSC,
     train_ensemble,
-    train_ensemble_parallel,
 )
 from repro.training import (
     TrainConfig,
@@ -360,19 +359,6 @@ class TestParallelEnsemble:
             train=TrainConfig(epochs=2, batch_size=16, patience=0),
             seed=0,
         )
-
-    def test_parallel_matches_serial_bitwise(self):
-        x, y = self._data()
-        serial, serial_candidates = train_ensemble(x, y, x, y, self._config())
-        parallel, parallel_candidates = train_ensemble_parallel(
-            x, y, x, y, self._config(), n_workers=2
-        )
-        assert [c.val_loss for c in serial_candidates] == [
-            c.val_loss for c in parallel_candidates
-        ]
-        assert serial.kernel_sizes == parallel.kernel_sizes
-        for member_s, member_p in zip(serial.models, parallel.models):
-            assert _states_equal(member_s.state_dict(), member_p.state_dict())
 
     def test_checkpoint_dir_resumes_candidates(self, tmp_path):
         x, y = self._data()
