@@ -163,12 +163,6 @@ class TestBackwardFreesTheGraph:
         with pytest.raises(RuntimeError, match="freed"):
             (shared * 2.0).sum().backward()
 
-    def test_a_new_forward_builds_a_new_graph(self):
-        w = Tensor([2.0], requires_grad=True)
-        for _ in range(2):
-            (w * 3.0).sum().backward()
-        assert w.grad[0] == pytest.approx(6.0)
-
     def test_a_conv_saved_input_dies_with_its_backward(self):
         """The saved padded inputs of a training batch's convs are freed by
         its backward(), while the loss and the logits are still held."""
