@@ -1,8 +1,8 @@
 """Training throughput: process-parallel ensemble training vs. serial.
 
 Algorithm 1 trains ``|kernel_set| * n_trials`` independent ResNet
-candidates; :func:`repro.core.train_ensemble_parallel` fans them out over
-a ``ProcessPoolExecutor``.  Because every candidate derives its own seed,
+candidates; :func:`repro.core.train_ensemble` with ``n_workers > 1`` fans
+them out over a ``ProcessPoolExecutor``.  Because every candidate derives its own seed,
 the parallel run must select a bit-identical ensemble — this benchmark
 measures the wall-clock win *and* verifies that equivalence, plus the
 checkpoint/resume contract (a resumed run reproduces the uninterrupted
@@ -34,13 +34,7 @@ import time
 import numpy as np
 
 from repro import nn
-from repro.core import (
-    EnsembleConfig,
-    ResNetConfig,
-    ResNetTSC,
-    train_ensemble,
-    train_ensemble_parallel,
-)
+from repro.core import EnsembleConfig, ResNetConfig, ResNetTSC, train_ensemble
 from repro.experiments.scalability import _on_one_cpu
 from repro.training import TrainConfig, state_dicts_equal, train_classifier
 
@@ -121,9 +115,7 @@ def run_benchmark(smoke: bool = False, n_workers: int = N_WORKERS) -> dict:
     lanes_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel_ensemble, _ = train_ensemble_parallel(
-        x, y, x, y, config, n_workers=n_workers
-    )
+    parallel_ensemble, _ = train_ensemble(x, y, x, y, config, n_workers=n_workers)
     parallel_seconds = time.perf_counter() - start
 
     return {

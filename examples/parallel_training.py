@@ -5,7 +5,7 @@ Run:  python examples/parallel_training.py     (~1 minute on a laptop CPU)
 Steps shown:
  1. build a simulated UK-DALE-like corpus and weakly labeled windows;
  2. train the CamAL ensemble serially, then again with worker processes
-    (`train_ensemble_parallel`) — and verify the ensembles are identical;
+    (`train_ensemble(n_workers=...)`) — and verify the ensembles are identical;
  3. interrupt a training run, resume it from its checkpoint, and verify
     the resumed loss history matches the uninterrupted one bit-for-bit;
  4. persist the pipeline for `InferenceEngine.load`.
@@ -17,13 +17,7 @@ import time
 
 import repro.experiments as ex
 from repro.api import save_estimator
-from repro.core import (
-    CamAL,
-    ResNetConfig,
-    ResNetTSC,
-    train_ensemble,
-    train_ensemble_parallel,
-)
+from repro.core import CamAL, ResNetConfig, ResNetTSC, train_ensemble
 from repro.training import TrainConfig, state_dicts_equal, train_classifier
 
 APPLIANCE = "kettle"
@@ -52,7 +46,7 @@ def main():
 
     workers = min(os.cpu_count() or 1, len(config.kernel_set) * config.n_trials)
     start = time.perf_counter()
-    parallel, _ = train_ensemble_parallel(
+    parallel, _ = train_ensemble(
         case.train.inputs, case.train.weak, case.val.inputs, case.val.weak,
         config, n_workers=workers,
     )

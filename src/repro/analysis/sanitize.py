@@ -2,7 +2,7 @@
 
 PRs 5-6 made steady-state serving fast by imposing invariants the type
 system cannot see: pooled buffers are *fully rewritten* before every read,
-plan slots are never read after the trace released them, and memory-mapped
+plan buffers are never read after the trace released them, and memory-mapped
 store windows are never written by a kernel.  This module makes violating
 any of them fail loudly instead of silently corrupting a score:
 
@@ -12,15 +12,15 @@ any of them fail loudly instead of silently corrupting a score:
   consumer that reads a released micro-batch buffer propagates NaN into
   its outputs (caught by the first comparison or finiteness check) rather
   than reading a stale-but-plausible activation;
-* **plan slot tracking** — :class:`PlanTracker` rides along a
-  :class:`~repro.nn.plan.PlanBuilder` trace: every emitted step declares
-  the slots it reads/writes, and the tracker raises
+* **plan buffer tracking** — :class:`PlanTracker` rides along the second
+  pass of a :class:`~repro.nn.plan.PlanBuilder` trace: every emitted step
+  declares the buffers it reads/writes, and the tracker raises
   :class:`PlanSanitizeError` *naming the offending step* when a step reads
-  a slot after its release (use-after-release), reads a slot no step has
-  written since it was handed out (read before write), or writes a
-  released slot (cross-slot aliasing), and when the two lanes of a lane
-  step touch the same memory with at least one writing it (a race).
-  Released slots are poison-filled too;
+  a buffer after its release (use-after-release), reads a buffer no step
+  has written since it was handed out (read before write), or writes a
+  released buffer (cross-buffer aliasing), and when a buffer is handed
+  out over bytes of a buffer still live (an overlapping layout).
+  Released buffers are poison-filled too;
 * **read-only store views** — :func:`freeze` flips the writeable flag off
   on windows served by :mod:`repro.data`, so a kernel writing into a store
   view raises ``ValueError`` at the offending statement.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +76,7 @@ _STATS: Dict[str, int] = {
 
 
 class PlanSanitizeError(RuntimeError):
-    """A traced plan step violated the slot lifetime discipline."""
+    """A traced plan step violated the buffer lifetime discipline."""
 
 
 def enabled() -> bool:
@@ -198,71 +198,70 @@ def pool_tracker() -> Optional[PoolTracker]:
 # ----------------------------------------------------------------------
 # Plan-trace instrumentation
 # ----------------------------------------------------------------------
-class _SlotState:
-    __slots__ = ("generation", "free", "writer_generation", "released_by")
+class _BufferState:
+    __slots__ = ("lo", "hi", "free", "written", "released_by")
 
-    def __init__(self) -> None:
-        self.generation = 0
+    def __init__(self, lo: int, hi: int) -> None:
+        self.lo = lo
+        self.hi = hi
         self.free = False
-        self.writer_generation = -1
+        self.written = False
         self.released_by: Optional[str] = None
 
 
 class PlanTracker:
-    """Trace-time slot lifetime checker for :class:`PlanBuilder`.
+    """Trace-time buffer lifetime checker for a :class:`PlanBuilder` trace.
 
-    The builder registers every slot it hands out, every release, and —
-    through ``emit(..., reads=..., writes=...)`` — which slots each
-    recorded step touches.  Because the builder *is* the scheduler, every
-    violation is detectable at trace time, before a single replay:
+    The second pass of a trace registers every buffer it hands out, every
+    release, and — through ``emit(..., reads=..., writes=...)`` — which
+    buffers each recorded step touches, so every violation is caught
+    before a single replay:
 
-    * a step reading a slot that sits in the free list is a
-      **use-after-release** (its value may be clobbered by whoever recycles
-      the slot);
-    * a step reading a slot that no step has written since the builder
-      handed it out is a **read before write**: a recycled slot still
-      holds some other buffer's bytes (possibly another shape or dtype),
-      and a fresh one holds whatever the allocator left.  Slots the caller
-      fills before every run (``PlanBuilder.input``) count as written;
-    * a step writing a slot in the free list is **cross-slot aliasing**
-      (the write will corrupt whatever logical buffer recycles the slot);
-    * in a lane step (``PlanBuilder.emit_lanes``), a lane writing memory
-      the other lane reads or writes is a **race between lanes**: the
-      lanes run at the same time, so the bits depend on the timing.
+    * a step reading a released buffer is a **use-after-release** (a later
+      buffer placed over its bytes may clobber them first);
+    * a step reading a buffer no step has written since it was handed out
+      is a **read before write**: its bytes hold what a buffer placed
+      there earlier, or another plan, left.  Buffers the caller fills
+      before every run (``PlanBuilder.input``) count as written;
+    * a step writing a released buffer is **cross-buffer aliasing**;
+    * a buffer handed out over bytes of a live buffer is an **overlap**.
 
-    Views are resolved to their owning slot through ``.base``, so reads
-    and writes may be declared with the exact (possibly reshaped/sliced)
-    array the step closure uses.
+    Views resolve to their buffer through ``.base``, so reads and writes
+    may be declared with the exact array the step closure uses.
     """
 
     def __init__(self) -> None:
-        self._slots: Dict[int, _SlotState] = {}
-        self._arrays: Dict[int, np.ndarray] = {}
+        #: id of each tracked buffer -> (the buffer, held so its id stays
+        #: its own, and its state).
+        self._buffers: Dict[int, Tuple[np.ndarray, _BufferState]] = {}
+        self._live: Dict[int, _BufferState] = {}
 
     # -- builder hooks -----------------------------------------------------
-    def on_buffer(self, arr: np.ndarray, recycled: bool) -> None:
-        """Register a slot handed out; ``arr`` is the slot, not a view of it."""
-        state = self._slots.get(id(arr))
-        if state is None:
-            state = _SlotState()
-            self._slots[id(arr)] = state
-            self._arrays[id(arr)] = arr
-            _STATS["tracked_slots"] += 1
-        if recycled:
-            state.generation += 1
-            _STATS["generation_bumps"] += 1
-        state.free = False
-        state.released_by = None
+    def on_buffer(self, arr: np.ndarray, at_step: Optional[str] = None) -> None:
+        """Register a buffer handed out after step ``at_step``; ``arr`` is
+        the array views of it resolve to."""
+        lo = arr.__array_interface__["data"][0]
+        state = _BufferState(lo, lo + arr.nbytes)
+        for other in self._live.values():
+            if state.lo < other.hi and other.lo < state.hi:
+                raise PlanSanitizeError(
+                    "a buffer handed out after plan step "
+                    f"{at_step!r} shares bytes with a buffer still live"
+                    " — overlapping layout (each would clobber the other)"
+                )
+        self._buffers[id(arr)] = (arr, state)
+        self._live[id(arr)] = state
+        _STATS["tracked_slots"] += 1
 
     def on_input(self, arr: np.ndarray) -> None:
-        """Count ``arr``'s slot as written: the caller fills it before a run."""
+        """Count ``arr``'s buffer as written: the caller fills it before a run."""
         state = self._resolve(arr)
         if state is not None:
-            state.writer_generation = state.generation
+            state.written = True
 
     def on_release(self, arr: np.ndarray, at_step: Optional[str] = None) -> None:
-        """Mark a registered slot free and poison-fill it."""
-        state = self._slots[id(arr)]
+        """Mark a registered buffer released and poison-fill it."""
+        state = self._live.pop(id(arr))
         state.free = True
         state.released_by = at_step
         poison_fill(arr)
@@ -274,85 +273,43 @@ class PlanTracker:
         writes: Sequence[np.ndarray],
     ) -> None:
         _STATS["plan_checks"] += 1
-        self._check_reads(label, reads)
-        self._check_writes(label, writes)
-
-    def on_emit_lanes(
-        self,
-        label: str,
-        reads: Tuple[Sequence[np.ndarray], Sequence[np.ndarray]],
-        writes: Tuple[Sequence[np.ndarray], Sequence[np.ndarray]],
-    ) -> None:
-        """Check a lane step: each of its two lanes as :meth:`on_emit`
-        checks a step, then each lane's writes against the other lane's
-        reads and writes (exact overlap of the bytes, not just of the
-        owning slot)."""
-        _STATS["plan_checks"] += 1
-        for lane_reads in reads:
-            self._check_reads(label, lane_reads)
-        for i, kind, others in (
-            (0, "writes", writes[1]), (0, "reads", reads[1]), (1, "reads", reads[0]),
-        ):
-            if any(np.shares_memory(a, b) for a in writes[i] for b in others):
-                raise PlanSanitizeError(
-                    f"plan step {label!r}: lane {i} writes memory lane {1 - i} "
-                    f"{kind} — the lanes run at the same time, so they race"
-                )
-        for lane_writes in writes:
-            self._check_writes(label, lane_writes)
-
-    # -- internals ---------------------------------------------------------
-    def _check_reads(self, label: str, reads: Sequence[np.ndarray]) -> None:
         for arr in reads:
             state = self._resolve(arr)
             if state is None:
-                continue  # parameter/external array, not a plan slot
+                continue  # parameter/external array, not a plan buffer
             if state.free:
                 raise PlanSanitizeError(
-                    f"plan step {label!r} reads a slot released"
+                    f"plan step {label!r} reads a buffer released"
                     f"{' by step ' + repr(state.released_by) if state.released_by else ''}"
-                    " — use-after-release (the slot may be recycled and "
-                    "clobbered before this step runs)"
+                    " — use-after-release (a later buffer may be placed over "
+                    "it and clobber it before this step runs)"
                 )
-            if state.writer_generation != state.generation:
+            if not state.written:
                 raise PlanSanitizeError(
-                    f"plan step {label!r} reads a slot no step has written "
-                    f"since it was handed out at generation {state.generation}"
-                    " — read before write"
-                    + (" (stale read through a recycled slot)" if state.generation else "")
+                    f"plan step {label!r} reads a buffer no step has written "
+                    "since it was handed out — read before write"
                 )
-
-    def _check_writes(self, label: str, writes: Sequence[np.ndarray]) -> None:
-        """Flag writes to released slots; mark every written slot written."""
         for arr in writes:
             state = self._resolve(arr)
             if state is None:
                 continue
             if state.free:
                 raise PlanSanitizeError(
-                    f"plan step {label!r} writes a slot already released"
+                    f"plan step {label!r} writes a buffer already released"
                     f"{' by step ' + repr(state.released_by) if state.released_by else ''}"
-                    " — cross-slot aliasing (the write would corrupt "
-                    "whatever logical buffer recycles the slot)"
+                    " — cross-buffer aliasing (the write would corrupt "
+                    "whatever buffer is placed over its bytes)"
                 )
-            state.writer_generation = state.generation
+            state.written = True
 
-    def _resolve(self, arr: np.ndarray) -> Optional[_SlotState]:
+    # -- internals ---------------------------------------------------------
+    def _resolve(self, arr: np.ndarray) -> Optional[_BufferState]:
         node: Optional[np.ndarray] = arr
         while node is not None:
-            state = self._slots.get(id(node))
-            if state is not None:
-                return state
+            if id(node) in self._buffers:
+                return self._buffers[id(node)][1]
             node = node.base if isinstance(node.base, np.ndarray) else None
         return None
-
-    def summary(self) -> Dict[str, int]:
-        free = sum(1 for s in self._slots.values() if s.free)
-        return {
-            "tracked_slots": len(self._slots),
-            "free_slots": free,
-            "generations": sum(s.generation for s in self._slots.values()),
-        }
 
 
 def plan_tracker() -> Optional[PlanTracker]:

@@ -16,7 +16,6 @@ from .ensemble import (
     ResNetEnsemble,
     TrainedCandidate,
     train_ensemble,
-    train_ensemble_parallel,
 )
 from .localization import CamAL, LocalizationOutput, localize_double_forward
 from .report import (
@@ -54,7 +53,6 @@ __all__ = [
     "ResNetEnsemble",
     "TrainedCandidate",
     "train_ensemble",
-    "train_ensemble_parallel",
     "CamAL",
     "LocalizationOutput",
     "localize_double_forward",

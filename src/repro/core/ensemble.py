@@ -9,8 +9,7 @@ The candidates are fully independent — each is seeded by a deterministic
 function of ``(seed, kernel, trial)`` — so :func:`train_ensemble` can
 train two at a time on two threads in-process (when
 :func:`repro.nn.plan.plan_lanes` allows two lanes) or fan them out over a
-``ProcessPoolExecutor`` (``n_workers > 1``, or the
-:func:`train_ensemble_parallel` convenience wrapper), and produce results
+``ProcessPoolExecutor`` (``n_workers > 1``), and produce results
 bit-identical to the serial order.  With ``checkpoint_dir`` set, every
 candidate writes a resumable per-candidate checkpoint (see
 :mod:`repro.training.checkpoint`), so an interrupted ensemble run picks up
@@ -19,6 +18,7 @@ where it left off instead of retraining finished members.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import queue
@@ -80,17 +80,20 @@ class ResNetEnsemble:
         if not models:
             raise ValueError("ensemble needs at least one model")
         self.models: List[ResNetTSC] = list(models)
-        #: Pool the plans' slot arena is taken from, also recycling the
+        #: Pool the plans' arenas are taken from, also recycling the
         #: member loop's conv scratch/outputs across fused micro-batches;
         #: created on first use so a freshly loaded ensemble carries none.
         self._pool: Optional[nn.backend.BufferPool] = None
         #: Traced grouped-GEMM plans per (batch, window, backend) signature
-        #: (see :mod:`repro.core.grouped`), all drawing their slots from
-        #: the cache's one arena; lazy like the pool.
+        #: (see :mod:`repro.core.grouped`), placed in each cache's arena;
+        #: lazy like the pool.  The second holds second halves' plans.
         self._plan_cache: Optional[nn.PlanCache] = None
+        self._second_cache: Optional[nn.PlanCache] = None
         self._plan_unsupported: set = set()
-        #: Serializes :meth:`forward_fused` and :meth:`predict_proba`: every
-        #: plan replays over the same arena slots, and the pool is
+        #: :func:`~repro.core.grouped.widest_columns` per window length.
+        self._widest: Dict[int, int] = {}
+        #: Serializes :meth:`forward_fused` and :meth:`predict_proba`: the
+        #: plans of a cache share arena bytes, and the pool is
         #: single-threaded.
         self._lock = threading.Lock()
 
@@ -108,6 +111,18 @@ class ResNetEnsemble:
             self._plan_cache = nn.PlanCache(arena=nn.SlotArena(self.buffer_pool))
         return self._plan_cache
 
+    @property
+    def second_plan_cache(self) -> nn.PlanCache:
+        """Plans of the second halves of split batches (see :meth:`_halves`)."""
+        if self._second_cache is None:
+            self._second_cache = nn.PlanCache(arena=nn.SlotArena(self.buffer_pool))
+        return self._second_cache
+
+    def plan_stats(self) -> Dict[str, int]:
+        """Both plan caches' ``stats``, summed (empty before the first trace)."""
+        stats = [c.stats for c in (self._plan_cache, self._second_cache) if c is not None]
+        return {key: sum(s[key] for s in stats) for key in (stats[0] if stats else ())}
+
     def __len__(self) -> int:
         return len(self.models)
 
@@ -115,52 +130,77 @@ class ResNetEnsemble:
     def kernel_sizes(self) -> List[int]:
         return [m.kernel_size for m in self.models]
 
+    def _halves(self, n: int, length: int) -> Tuple[int, ...]:
+        """The window counts ``n`` windows are scored in: two halves on two
+        lanes where two may run now and a one-lane plan would tile a conv
+        group; the first half replays a plan of :attr:`plan_cache`, the
+        second one of :attr:`second_plan_cache`."""
+        from .grouped import COLUMN_BUDGET_BYTES, widest_columns
+
+        if n < 2 or nn.plan.plan_lanes() != 2:
+            return (n,)
+        if length not in self._widest:
+            self._widest[length] = widest_columns(self.models, length)
+        return ((n + 1) // 2, n // 2) if n * self._widest[length] > COLUMN_BUDGET_BYTES else (n,)
+
     def _plan_outputs(
         self, xb: np.ndarray, class_index: int, with_cam: bool
     ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
-        """One micro-batch through the traced grouped plan, or ``None``.
+        """One micro-batch through traced grouped plans, or ``None``.
 
         ``None`` means "take the untraced member loop" — plan layer
         disabled (``REPRO_NN_PLAN=off``), members in training mode, an
         untraceable structure, or a failed trace-time validation.  Every
         fallback is counted in :attr:`plan_cache` so it shows up in
-        ``engine.plan_stats()`` and the benchmark JSON.  Must run inside
-        the lock and the ``no_grad`` + ``use_pool`` context of the caller.
+        ``engine.plan_stats()`` and the benchmark JSON.  The halves
+        (:meth:`_halves`) replay at once (:func:`repro.nn.plan.run_on_lanes`)
+        and, a window's bits not depending on its batch, give the one-lane
+        plan's bits.  New plans are traced on this thread (arenas grow
+        through the pool) and kept once their first outputs match the
+        untraced loop.  Must run inside the lock and the ``no_grad`` +
+        ``use_pool`` context of the caller.
         """
         from .grouped import PlanUnsupported, compile_ensemble_plan
 
         cache = self.plan_cache
         if not nn.plan_enabled() or any(m.training for m in self.models):
-            cache.record_fallback()
+            cache.fallbacks += 1
             return None
         n, length = xb.shape
         signature = (
             n, length, class_index, with_cam, nn.backend.get_backend(), len(self.models),
         )
-        plan = cache.get(signature)
-        if plan is None:
-            if signature in self._plan_unsupported:
-                cache.record_fallback()
-                return None
-            try:
-                plan = compile_ensemble_plan(
-                    self.models, cache.arena, n, length,
-                    class_index=class_index, with_cam=with_cam,
-                )
-            except PlanUnsupported:
-                self._plan_unsupported.add(signature)
-                cache.record_fallback()
-                return None
-            np.copyto(plan.inputs["x"], xb)
-            plan.run()
-            proba = plan.outputs["proba"].copy()
-            cam = plan.outputs["cam"].copy() if with_cam else None
-            # Validate the trace against the untraced loop once, then keep
-            # the plan.  Returning the *plan* output here keeps the first
-            # call bit-consistent with every replay (the serving cache's
-            # bit-identity contract).  The loop runs in small chunks through
-            # a private pool, so its scratch is freed with the pool instead
-            # of lingering in the ensemble's, where no replay reads it.
+        if signature in self._plan_unsupported:
+            cache.fallbacks += 1
+            return None
+        try:
+            sizes = self._halves(n, length)
+            caches = (cache, self.second_plan_cache)[: len(sizes)]
+            plans = [c.get((size,) + signature[1:]) for c, size in zip(caches, sizes)]
+            new = [plan is None for plan in plans]
+            plans = [plan or compile_ensemble_plan(self.models, c.arena, size, length,
+                                                   class_index=class_index, with_cam=with_cam)
+                     for plan, c, size in zip(plans, caches, sizes)]
+        except PlanUnsupported:
+            self._plan_unsupported.add(signature)
+            cache.fallbacks += 1
+            return None
+        proba = np.empty(n, dtype=np.float32)
+        cam = np.empty((n, length), dtype=np.float32) if with_cam else None
+        bounds = (0, sizes[0], n)
+        tasks = [
+            functools.partial(
+                _replay_into, plan, xb[a:b], proba[a:b], None if cam is None else cam[a:b]
+            )
+            for plan, a, b in zip(plans, bounds, bounds[1:])
+        ]
+        nn.plan.run_on_lanes(tasks)
+        if any(new):
+            # Validate new plans against the untraced loop once, then keep
+            # them.  The *plan* outputs are returned, bit-consistent with
+            # every replay.  The loop runs in small chunks through a private
+            # pool, so its scratch is freed with the pool instead of
+            # lingering in the ensemble's, where no replay reads it.
             check_proba = np.zeros(n, dtype=np.float32)
             check_cam = np.zeros((n, length), dtype=np.float32)
             with nn.backend.use_pool(nn.backend.BufferPool()):
@@ -170,21 +210,16 @@ class ResNetEnsemble:
                         check_proba, check_cam, start, class_index,
                     )
             ok = np.allclose(proba, check_proba, atol=1e-4)
-            if with_cam:
-                ok = ok and np.allclose(cam, check_cam, atol=1e-4)
-            if not ok:
+            if not (ok and (cam is None or np.allclose(cam, check_cam, atol=1e-4))):
                 self._plan_unsupported.add(signature)
-                cache.record_fallback()
+                cache.fallbacks += 1
                 return None
-            cache.put(signature, plan)
-            return proba, cam
-        np.copyto(plan.inputs["x"], xb)
-        plan.run()
-        cache.record_replay()
-        return (
-            plan.outputs["proba"].copy(),
-            plan.outputs["cam"].copy() if with_cam else None,
-        )
+        for c, plan, fresh in zip(caches, plans, new):
+            if fresh:
+                c.put(plan.signature, plan)
+            else:
+                c.replays += 1
+        return proba, cam
 
     def predict_proba(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Ensemble detection probability: mean of member probabilities."""
@@ -289,6 +324,17 @@ class ResNetEnsemble:
         for model in self.models:
             model.eval()
         return self
+
+
+def _replay_into(
+    plan: nn.ExecutionPlan, xb: np.ndarray, proba: np.ndarray, cam: Optional[np.ndarray]
+) -> None:
+    """Replay ``plan`` on windows ``xb``, writing its outputs to ``proba``/``cam``."""
+    np.copyto(plan.inputs["x"], xb)
+    plan.run()
+    np.copyto(proba, plan.outputs["proba"])
+    if cam is not None:
+        np.copyto(cam, plan.outputs["cam"])
 
 
 def _split_train_sub(
@@ -405,7 +451,7 @@ def _train_on_two_lanes(plans: Sequence[_CandidatePlan], data: Tuple) -> List:
             outcomes[running.pop(future)] = future.result()
     finally:
         # Wait for the running candidates even through an interrupt, and
-        # raise it after, as LaneStep does for its lane 1.
+        # raise it after, as repro.nn.plan.run_on_lanes does for its helper.
         interrupt = None
         while True:
             try:
@@ -515,30 +561,3 @@ def train_ensemble(
     selected = [c.model for c in ranked[: config.n_models]]
     return ResNetEnsemble(selected), candidates
 
-
-def train_ensemble_parallel(
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    x_val: np.ndarray,
-    y_val: np.ndarray,
-    config: Optional[EnsembleConfig] = None,
-    n_workers: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-) -> Tuple[ResNetEnsemble, List[TrainedCandidate]]:
-    """Process-parallel Algorithm 1: :func:`train_ensemble` across workers.
-
-    ``n_workers`` defaults to the machine's CPU count.  Because every
-    candidate derives its own seed, the returned ensemble and candidate
-    list are bit-identical to a serial :func:`train_ensemble` run.
-    """
-    if n_workers is None:
-        n_workers = os.cpu_count() or 1
-    return train_ensemble(
-        x_train,
-        y_train,
-        x_val,
-        y_val,
-        config,
-        n_workers=max(n_workers, 1),
-        checkpoint_dir=checkpoint_dir,
-    )

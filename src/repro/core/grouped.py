@@ -20,20 +20,17 @@ Two fusions happen during the trace:
   preserved (the trace-time validation enforces this);
 * **conv -> folded-BN -> ReLU**: the batch-norm fold (recomputed from the
   *live* parameters on every replay, so a ``load_state_dict`` can never
-  serve stale statistics) lands in stacked weight/shift slots, and the
+  serve stale statistics) lands in stacked weight/shift buffers, and the
   scale/shift + ReLU run in the GEMM epilogue.
 
-All large buffers are views of :class:`~repro.nn.plan.SlotArena` slots,
-which the builder reuses by size across layers (the tracer knows every
-lifetime, so a slot goes to the next buffer that fits once its last
-reader is recorded) and, through the ensemble's one arena, across the
-plans of every batch size; a replay performs **zero** new large
-allocations — only the O(C_out) fold temporaries.  A conv group whose
-im2col columns would exceed :data:`COLUMN_BUDGET_BYTES` gathers and
-multiplies tile by tile, so the columns never outgrow the cache however
-large the batch; in a two-lane trace (:func:`repro.nn.plan.plan_lanes`)
-its tiles run as one :class:`~repro.nn.plan.LaneStep`, split between the
-replaying thread and a helper thread.  Plans are compiled
+All large buffers are views into an arena chunk, at offsets a first pass
+of the tracer plans (:func:`repro.nn.plan.trace`), and the ensemble's
+plans of every batch size share the chunk; a replay performs **zero** new
+large allocations — only the O(C_out) fold temporaries.  A conv group
+whose im2col columns would exceed :data:`COLUMN_BUDGET_BYTES` gathers and
+multiplies tile by tile (:func:`widest_columns` says from which batch
+size), so the columns never outgrow the cache however large the batch.
+Plans are compiled
 for the ``im2col`` kernel only: under ``reference`` (the ground-truth
 kernel) :func:`compile_ensemble_plan` raises :class:`PlanUnsupported`,
 so the ensemble runs its member loop with reference numerics and counts
@@ -59,13 +56,14 @@ than serving.
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Optional, Sequence, Tuple
+import itertools
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import nn
 from ..nn.backend import counters
-from ..nn.plan import ExecutionPlan, PlanBuilder, SlotArena
+from ..nn.plan import ExecutionPlan, PlanBuilder, SlotArena, trace
 from .resnet import fold_batch_norm
 
 DTYPE = np.float32
@@ -85,7 +83,7 @@ class PlanUnsupported(Exception):
 
 
 def _make_fold_step(conv, norm, w_dst: np.ndarray, s_dst: np.ndarray) -> Callable:
-    """Step folding the live BN statistics into stacked weight/shift slots.
+    """Step folding the live BN statistics into stacked weight/shift buffers.
 
     Reads ``conv``/``norm`` parameters at **replay** time — the fold is
     O(C_out * C_in * K), negligible next to the conv GEMM, and re-running
@@ -128,21 +126,48 @@ def _emit_conv_column(
     or ``(1, C_in, N, L)`` when ``shared`` (the raw input, broadcast
     across members inside the batched matmul).
     """
-    m = len(blocks)
-    g0 = 0
-    while g0 < m:
-        conv0 = blocks[g0][0]
-        key = (conv0.kernel_size, conv0.padding, conv0.in_channels, conv0.out_channels)
-        g1 = g0 + 1
-        while g1 < m:
-            c = blocks[g1][0]
-            if (c.kernel_size, c.padding, c.in_channels, c.out_channels) != key:
-                break
-            g1 += 1
+    for g0, g1 in _groups([conv for conv, _ in blocks]):
         _emit_conv_group(
             builder, blocks[g0:g1], x_src, shared, g0, g1, length, act_out, relu
         )
-        g0 = g1
+
+
+def _groups(convs: Sequence[object]) -> Sequence[Tuple[int, int]]:
+    """``(g0, g1)`` of each contiguous run of convs with equal
+    ``(K, padding, C_in, C_out)``: one grouped GEMM each."""
+    keys = [(c.kernel_size, c.padding, c.in_channels, c.out_channels) for c in convs]
+    starts = [g for g in range(len(keys)) if g == 0 or keys[g] != keys[g - 1]]
+    return list(zip(starts, starts[1:] + [len(keys)]))
+
+
+def _window_columns(conv, members: int, shared: bool, length: int) -> int:
+    """Bytes of one window's im2col columns for ``members`` convs like
+    ``conv`` (one member's worth from a ``shared`` source; none for 1x1)."""
+    if conv.kernel_size == 1 and conv.padding == 0:
+        return 0
+    l_out = (length + 2 * conv.padding - conv.kernel_size) // conv.stride + 1
+    per_member = conv.in_channels * conv.kernel_size * l_out * np.dtype(DTYPE).itemsize
+    return (1 if shared else members) * per_member
+
+
+def widest_columns(models: Sequence[object], length: int) -> int:
+    """Bytes of im2col columns per window of the ensemble's widest conv group.
+
+    A plan of ``n`` windows tiles some group exactly when ``n`` times this
+    exceeds :data:`COLUMN_BUDGET_BYTES`.  Raises :class:`PlanUnsupported`
+    where :func:`compile_ensemble_plan` would.
+    """
+    _check_supported(models, length)
+    perm_models = sorted(models, key=lambda model: model.kernel_size)
+    widest = [0]
+    names = ("block1", "block2", "block3", "shortcut")
+    for unit_index, name in itertools.product((1, 2, 3), names):
+        blocks = [getattr(getattr(model, f"unit{unit_index}"), name) for model in perm_models]
+        convs = [getattr(block, "conv", block) for block in blocks if block is not None]
+        # Unit 1's block1 and shortcut read the raw input, broadcast.
+        shared = unit_index == 1 and name in ("block1", "shortcut")
+        widest += [_window_columns(convs[g0], g1 - g0, shared, length) for g0, g1 in _groups(convs)]
+    return max(widest)
 
 
 def _gather(cols5: np.ndarray, src: np.ndarray, kernel: int, l_out: int,
@@ -153,8 +178,7 @@ def _gather(cols5: np.ndarray, src: np.ndarray, kernel: int, l_out: int,
     Gathers straight from the *unpadded* source: tap ``j`` reads padded
     positions ``j, j+stride, ...`` = unpadded ``j-pad + i*stride``; the (at
     most ``K-1``) out-of-range columns are the zero margins, rewritten
-    every replay because the slot may have been recycled into (and
-    clobbered by) another buffer since.
+    every replay because other buffers share the column buffer's bytes.
     """
     for j in range(kernel):
         a = j - pad
@@ -180,32 +204,6 @@ def _gemm_shift(w: np.ndarray, cols: np.ndarray, out: np.ndarray,
         np.maximum(out, 0.0, out=out)
 
 
-def _conv_tile(gather: Callable[[], None], *gemm_args) -> None:
-    """A lane task: one tile's gather, GEMM and epilogue."""
-    gather()
-    _gemm_shift(*gemm_args)
-
-
-def _count_gemms(n: int) -> None:
-    """Count a lane step's ``n`` tiles on the replaying thread, once both
-    lanes are done."""
-    counters.record("fused_conv_calls", n)
-    counters.record("fused_conv_gemms", n)
-
-
-def _deal(tiles: Sequence[Tuple[int, int, int]]) -> Tuple[List, List]:
-    """Split ``(member, w0, w1)`` tiles between the two lanes: largest
-    first, each to the lane with fewer columns so far (ties to lane 0).
-    Each lane keeps the tiles' order."""
-    load = [0, 0]
-    lane_of = {}
-    for tile in sorted(tiles, key=lambda t: t[1] - t[2]):
-        lane = int(load[1] < load[0])
-        lane_of[tile] = lane
-        load[lane] += tile[2] - tile[1]
-    return ([t for t in tiles if lane_of[t] == 0], [t for t in tiles if lane_of[t] == 1])
-
-
 def _emit_conv_group(
     builder: PlanBuilder,
     group: Sequence[Tuple[object, Optional[object]]],
@@ -221,11 +219,7 @@ def _emit_conv_group(
 
     One gather + GEMM + epilogue when the group's columns fit
     :data:`COLUMN_BUDGET_BYTES`; otherwise one per member and tile of
-    windows whose columns fit.  When the trace has two lanes
-    (``builder.lanes``) and such a group has two or more tiles, they share
-    the budget, half of it per lane's column tile, and run as one lane
-    step: the tiles are dealt largest first, each to the lane with fewer
-    columns so far, and each is gathered into its own lane's column tile.
+    windows whose columns fit, all gathered into one column buffer.
     """
     conv0 = group[0][0]
     kernel, pad = conv0.kernel_size, conv0.padding
@@ -246,11 +240,7 @@ def _emit_conv_group(
 
     l_out = (l_pad - kernel) // stride + 1
     gathered = kernel != 1 or pad > 0
-    # Columns of one window of one member; a shared (broadcast) source
-    # gathers its columns once for every member.
-    window_bytes = c_in * kernel * l_out * np.dtype(DTYPE).itemsize
-    tiled = gathered and (1 if shared else gm) * window_bytes * n > COLUMN_BUDGET_BYTES
-    lanes = builder.lanes if tiled else 1
+    tiled = _window_columns(conv0, gm, shared, length) * n > COLUMN_BUDGET_BYTES
     # Tiles are per member: a tile of the whole group would hold fewer
     # windows, and a GEMM over fewer columns re-packs its weights more
     # often per column (measured slower at paper width).
@@ -258,47 +248,35 @@ def _emit_conv_group(
     mi = 1 if shared else m_step
     w_step = n
     if tiled:
-        w_step = min(n, max(1, COLUMN_BUDGET_BYTES // lanes // (mi * window_bytes)))
+        # A shared (broadcast) source gathers its columns once for every member.
+        window_bytes = _window_columns(conv0, mi, False, length)
+        w_step = min(n, max(1, COLUMN_BUDGET_BYTES // window_bytes))
     flat_out = act_out[g0:g1].reshape(gm, c_out, n * l_out)
-    tiles = [(a, w0, min(n, w0 + w_step)) for a in range(0, gm, m_step)
-             for w0 in range(0, n, w_step)]
-    if len(tiles) < 2:
-        # A lone tile: one member, one window whose columns alone exceed
-        # the budget (a one-window tile at either lane count).  Lane 1
-        # would have nothing to run.
-        lanes = 1
-
-    def tile_parts(a, w0, w1, cols):
-        """(gather step or None, the source it reads, GEMM arguments, tag)."""
+    cols = builder.buffer((mi, c_in * kernel, w_step * l_out)) if gathered else None
+    for a in range(0, gm, m_step):
         b = a + m_step
         src = x_src[:1] if shared else x_src[g0 + a : g0 + b]
-        tag = f"m{g0 + a}:{g0 + b}" + (f",w{w0}:{w1}" if tiled else "")
-        gather = None
-        if gathered:
-            # A narrower tile is a contiguous prefix of the column slot.
-            tile = cols.reshape(-1)[: mi * c_in * kernel * (w1 - w0) * l_out]
-            src = src[:, :, w0:w1]
-            gather = functools.partial(
-                _gather, tile.reshape(mi, c_in, kernel, w1 - w0, l_out),
-                src, kernel, l_out, stride, pad, length,
-            )
-            tile_cols = tile.reshape(mi, c_in * kernel, (w1 - w0) * l_out)
-        else:
-            # The input *is* the column block: (mi, C_in*1, N*L).
-            tile_cols = src.reshape(mi, c_in, n * l_out)
-        out_view = flat_out[a:b, :, w0 * l_out : w1 * l_out]
-        return gather, src, (w_stack[a:b], tile_cols, out_view, shift_stack[a:b], relu), tag
-
-    if lanes == 1:
-        cols = builder.buffer((mi, c_in * kernel, w_step * l_out)) if gathered else None
-        for a, w0, w1 in tiles:
-            gather, tile_src, gemm_args, tag = tile_parts(a, w0, w1, cols)
-            if gather is not None:
+        for w0 in range(0, n, w_step):
+            w1 = min(n, w0 + w_step)
+            tag = f"m{g0 + a}:{g0 + b}" + (f",w{w0}:{w1}" if tiled else "")
+            if gathered:
+                # A narrower tile is a contiguous prefix of the column buffer.
+                tile = cols.reshape(-1)[: mi * c_in * kernel * (w1 - w0) * l_out]
+                tile_src = src[:, :, w0:w1]
+                tile_cols = tile.reshape(mi, c_in * kernel, (w1 - w0) * l_out)
                 builder.emit(
-                    gather, label=f"im2col[{tag}]", reads=(tile_src,), writes=(gemm_args[1],)
+                    functools.partial(
+                        _gather, tile.reshape(mi, c_in, kernel, w1 - w0, l_out),
+                        tile_src, kernel, l_out, stride, pad, length,
+                    ),
+                    label=f"im2col[{tag}]", reads=(tile_src,), writes=(tile_cols,),
                 )
+            else:
+                # The input *is* the column block: (mi, C_in*1, N*L).
+                tile_cols = src.reshape(mi, c_in, n * l_out)
+            out_view = flat_out[a:b, :, w0 * l_out : w1 * l_out]
 
-            def gemm_step(args=gemm_args):
+            def gemm_step(args=(w_stack[a:b], tile_cols, out_view, shift_stack[a:b], relu)):
                 _gemm_shift(*args)
                 counters.record("fused_conv_calls")
                 counters.record("fused_conv_gemms")
@@ -306,33 +284,12 @@ def _emit_conv_group(
             builder.emit(
                 gemm_step,
                 label=f"gemm[{tag}]",
-                reads=(gemm_args[1], w_stack, shift_stack),
-                writes=(gemm_args[2],),
+                reads=(tile_cols, w_stack, shift_stack),
+                writes=(out_view,),
             )
-        lane_cols = [cols] if gathered else []
-    else:
-        dealt = _deal(tiles)
-        lane_cols = tuple(
-            builder.buffer((mi, c_in * kernel, max(w1 - w0 for _, w0, w1 in mine) * l_out))
-            for mine in dealt
-        )
-        parts = tuple(
-            [tile_parts(a, w0, w1, cols) for a, w0, w1 in mine]
-            for mine, cols in zip(dealt, lane_cols)
-        )
-        builder.emit_lanes(
-            tuple([functools.partial(_conv_tile, gather, *args) for gather, _, args, _ in lane]
-                  for lane in parts),
-            label=f"lanes[m{g0}:{g1},{len(tiles)} tiles]",
-            reads=tuple(tuple(src for _, src, _, _ in lane) + (w_stack, shift_stack)
-                        for lane in parts),
-            writes=tuple((cols,) + tuple(args[2] for _, _, args, _ in lane)
-                         for lane, cols in zip(parts, lane_cols)),
-        )
-        builder.emit(functools.partial(_count_gemms, len(tiles)), label=f"count[m{g0}:{g1}]")
     builder.release(w_stack)
     builder.release(shift_stack)
-    for cols in lane_cols:
+    if cols is not None:
         builder.release(cols)
 
 
@@ -449,14 +406,14 @@ def compile_ensemble_plan(
 ) -> ExecutionPlan:
     """Trace the full grouped ensemble forward into an :class:`ExecutionPlan`.
 
-    Inputs: ``plan.inputs["x"]`` — an ``(n, length)`` window batch slot.
+    Inputs: ``plan.inputs["x"]`` — an ``(n, length)`` window batch buffer.
     Outputs: ``plan.outputs["proba"]`` (``(n,)`` ensemble detection
     probability) and, when ``with_cam``, ``plan.outputs["cam"]`` (``(n,
     length)`` averaged normalized CAM).  Probability and CAM accumulate in
     the *original* member order (the permutation is internal), matching
-    the untraced loop's accumulation bit-for-bit.  Slots come from
-    ``arena`` (a private one when ``None``), which the caller may share
-    across plans it never replays at the same time.  Raises
+    the untraced loop's accumulation bit-for-bit.  The plan is placed in
+    a chunk of ``arena`` (a private one when ``None``), which the caller
+    may share across plans it never replays at the same time.  Raises
     :class:`PlanUnsupported` unless the active conv kernel is ``im2col``.
     """
     if nn.backend.get_backend() != "im2col":
@@ -470,7 +427,25 @@ def compile_ensemble_plan(
     perm_models = [models[i] for i in order]
     pos_of = {orig: pos for pos, orig in enumerate(order)}
 
-    builder = PlanBuilder(arena)
+    record = functools.partial(
+        _record_plan, perm_models, pos_of, n, length, class_index, with_cam
+    )
+    return trace(record, arena)
+
+
+def _record_plan(
+    perm_models: Sequence[object],
+    pos_of: Dict[int, int],
+    n: int,
+    length: int,
+    class_index: int,
+    with_cam: bool,
+    builder: PlanBuilder,
+) -> ExecutionPlan:
+    """Record the grouped forward of ``perm_models`` (members in kernel
+    order; ``pos_of`` maps an original member index to its position) into
+    ``builder``: one pass of :func:`compile_ensemble_plan`'s trace."""
+    m = len(perm_models)
     x_in = builder.input((n, length))
     # Channel-major throughout: C_in = 1 makes the raw (N, L) batch already
     # the (1, C, N, L) layout — no input transpose.

@@ -7,11 +7,12 @@ walks through ``nn.Module.__call__``, graph-node checks in every
 primitive, Tensor wrappers around every intermediate, and a pool
 transaction per scratch buffer.  This module removes all of it:
 
-* a **trace** runs once per input signature.  It records the forward as
-  a flat list of step closures, each closed over *pre-resolved* buffers
-  (views of :class:`SlotArena` slots, which the arena takes from the
-  owning :class:`~repro.nn.backend.BufferPool` via ``take_persistent``)
-  and the live parameter objects it reads;
+* a **trace** (:func:`trace`) runs once per input signature.  It records
+  the forward as a flat list of step closures, each closed over
+  *pre-resolved* buffers and the live parameter objects it reads.  Its
+  first pass learns every buffer's bytes and lifetime; the second places
+  each buffer at a planned offset in a :class:`SlotArena` chunk, so a
+  plan spans about its peak live bytes;
 * a **replay** is ``for step in steps: step()`` — zero
   ``nn.Module.__call__`` dispatch, zero graph-node checks, zero
   allocations.
@@ -19,18 +20,15 @@ transaction per scratch buffer.  This module removes all of it:
 Plans are cached per signature — the shapes that determine the call
 sequence (batch size, window length, backend mode, ...) — in a
 :class:`PlanCache` owned by the traced object (the CamAL ensemble keeps
-one next to its buffer pool).  Every plan of one cache draws its slots
-from the cache's one :class:`SlotArena`, so a ladder of plans costs about
-its largest plan, not the sum of them.
+one next to its buffer pool).  The plans of one cache share its
+:class:`SlotArena`, so a ladder of plans costs about its largest plan.
 Anything the tracer does not support falls back to the untraced path and
 is counted, so regressions show up in ``engine.plan_stats()`` and the
 benchmark JSON rather than as silent slowdowns.
 
-A :class:`LaneStep` runs independent tasks on two **lanes** at once: the
-replaying thread and one helper thread per process.  A trace uses lanes
-only where :func:`plan_lanes` (read once per trace) allows two: this
-thread may run on two or more CPUs and the loaded OpenBLAS runs one
-thread, so each lane's GEMMs get a core of their own.
+:func:`run_on_lanes` runs tasks on two **lanes**, the calling thread and
+one helper thread per process; the CamAL ensemble replays the two halves
+of a batch that way where :func:`plan_lanes` allows two lanes.
 
 Set ``REPRO_NN_PLAN=off`` to disable tracing entirely (every call takes
 the fallback path); see ``docs/nn.md``.
@@ -55,22 +53,25 @@ from .backend.pool import BufferPool
 __all__ = [
     "PLAN_ENV",
     "ExecutionPlan",
-    "LaneStep",
+    "Layout",
     "PlanBuilder",
     "PlanCache",
     "SlotArena",
     "blas_threads",
     "plan_enabled",
     "plan_lanes",
+    "run_on_lanes",
+    "trace",
 ]
 
 #: Environment variable disabling the plan layer (``off``/``0``/``false``).
 PLAN_ENV = "REPRO_NN_PLAN"
 
+#: Every plan buffer starts at a multiple of this many bytes of its chunk.
+ALIGN = 64
+
 #: A plan cache key: the shape tuple that fixes the traced call sequence.
 Signature = Hashable
-#: One lane of a :class:`LaneStep`: tasks run in order on one thread.
-Lane = Sequence[Callable[[], None]]
 
 
 def plan_enabled() -> bool:
@@ -123,14 +124,14 @@ def blas_threads() -> Optional[int]:
 
 
 def plan_lanes() -> int:
-    """Lanes a plan traced now may spread its tiled conv groups over: 2 or 1.
+    """Lanes work started now may spread over: 2 or 1.
 
     Two when the calling thread may run on at least two CPUs and the
     loaded OpenBLAS runs one thread.  A multi-threaded BLAS already
     spreads each GEMM over the cores, and a second lane only contends
     with it: under ``OPENBLAS_NUM_THREADS=2`` two lanes replayed the
     paper-width 16-window plan 1.4x slower than one (2-vCPU VM).  Read
-    once per trace, so a thread confined to one CPU traces one-lane plans.
+    per call, so a thread confined to one CPU works on one lane.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -139,82 +140,96 @@ def plan_lanes() -> int:
     return 2 if cpus >= 2 and blas_threads() == 1 else 1
 
 
-class LaneStep:
-    """One plan step whose two lanes of tasks run at the same time.
+class _LaneRun:
+    """One :func:`run_on_lanes` call: tasks the two lanes claim in order."""
 
-    ``lanes[0]`` runs on the replaying thread and ``lanes[1]`` on the
-    process's lane helper thread; each lane runs its tasks in order, and
-    the step returns once both lanes are done, even when an interrupt
-    (``KeyboardInterrupt``) lands while it waits: it keeps waiting for
-    lane 1 and raises the interrupt after, so no replay leaves lane 1
-    still writing plan memory.  The lanes must touch disjoint memory —
-    :meth:`PlanBuilder.emit_lanes` declares each lane's reads and writes
-    and the sanitizer checks them at trace time — and a task must never
-    submit further work.  An exception in lane 1 is raised here, on the
-    replaying thread, once lane 0 has ended; the helper thread survives it.
+    def __init__(self, tasks: Tuple[Callable[[], None], ...]):
+        self.tasks = tasks
+        self.next = 0
+        self.helper_claimed = False  # the caller then waits for ``done``
+        self.error: Optional[BaseException] = None
+        self.done = threading.Event()  # set once the helper's share ended
+        self.lock = threading.Lock()
+
+    def claim(self, helper: bool) -> Optional[Callable[[], None]]:
+        with self.lock:
+            if self.next == len(self.tasks):
+                return None
+            self.next += 1
+            self.helper_claimed |= helper
+            return self.tasks[self.next - 1]
+
+    def stop(self) -> bool:
+        """Let no unclaimed task start; whether the helper claimed one."""
+        with self.lock:
+            self.next = len(self.tasks)
+            return self.helper_claimed
+
+    def run_on_helper(self) -> None:
+        try:
+            for task in iter(lambda: self.claim(True), None):
+                task()
+        except BaseException as exc:  # re-raised on the calling thread
+            self.error = exc
+            self.stop()
+        finally:
+            self.done.set()
+
+
+@hot_path
+def run_on_lanes(tasks: Sequence[Callable[[], None]]) -> None:
+    """Run ``tasks`` on this thread and the process's lane helper thread.
+
+    A lone task runs here.  Each lane claims the next task in list order,
+    so while the helper is busy with another call's tasks this thread runs
+    every task itself.
+    After a failure no unclaimed task starts; the failure is raised here
+    once both lanes have ended (this thread's own first), and the helper
+    survives it.  An interrupt while this thread waits for the helper's
+    task is raised after that task has ended.  Tasks must touch disjoint
+    memory and never call :func:`run_on_lanes`.
     """
-
-    __slots__ = ("lanes", "_done", "_error")
-
-    def __init__(self, lanes: Tuple[Lane, Lane]):
-        lane0, lane1 = lanes
-        self.lanes = (tuple(lane0), tuple(lane1))
-        #: Set by the helper once lane 1 has ended; cleared by each call.
-        self._done = threading.Event()
-        self._error: Optional[BaseException] = None
-
-    @hot_path
-    def __call__(self) -> None:
-        done = self._done
-        done.clear()
-        _lane_helper().submit(self)
-        try:
-            for task in self.lanes[0]:
-                task()
-        finally:
-            # Wait for lane 1 even through an interrupt, raised after it.
-            # The wait is inline (no call to enter first) and asked again
-            # after each interrupt, so it cannot end early.
-            interrupt = None
-            while True:
-                try:
-                    done.wait()
-                    break
-                except BaseException as exc:
-                    interrupt = exc
-            error, self._error = self._error, None
-            if interrupt is not None:
-                raise interrupt
-        if error is not None:
-            raise error
-
-    def run_helper_lane(self) -> None:
-        """Lane 1's tasks; runs on the helper thread."""
-        try:
-            for task in self.lanes[1]:
-                task()
-        except BaseException as exc:  # re-raised on the replaying thread
-            self._error = exc
-        finally:
-            self._done.set()
+    if len(tasks) == 1:
+        return tasks[0]()
+    run = _LaneRun(tuple(tasks))
+    _lane_helper().submit(run)
+    try:
+        for task in iter(lambda: run.claim(False), None):
+            task()
+    finally:
+        # The wait is inline (no call to enter first) and asked again
+        # after each interrupt, so it cannot end early.
+        interrupt = None
+        waiting = run.stop()
+        while waiting:
+            try:
+                run.done.wait()
+                waiting = False
+            except BaseException as exc:
+                interrupt = exc
+        if interrupt is not None:
+            raise interrupt
+    if run.error is not None:
+        raise run.error
 
 
 class _LaneHelper:
-    """The daemon thread that runs lane 1 of every :class:`LaneStep`."""
+    """The daemon thread that runs the helper's share of every
+    :func:`run_on_lanes` call."""
 
     def __init__(self) -> None:
-        self._todo: "queue.SimpleQueue[LaneStep]" = queue.SimpleQueue()
+        self._todo: "queue.SimpleQueue[_LaneRun]" = queue.SimpleQueue()
         self.thread = threading.Thread(
             target=self._serve, name="repro-plan-lane", daemon=True
         )
         self.thread.start()
 
-    def submit(self, step: LaneStep) -> None:
-        self._todo.put(step)
+    def submit(self, run: _LaneRun) -> None:
+        self._todo.put(run)
 
     def _serve(self) -> None:
         while True:
-            self._todo.get().run_helper_lane()
+            self._todo.get().run_on_helper()
 
 
 _helper: Optional[_LaneHelper] = None
@@ -244,150 +259,211 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_lane_helper)
 
 
+def _unpooled(nbytes: int) -> np.ndarray:
+    # repro: waive[HOT001] pool-less trace-time memory — this IS the allocator the ban steers hot code toward
+    return np.empty(nbytes, dtype=np.uint8)
+
+
 class ExecutionPlan:
     """One traced forward: bound buffers plus a flat list of step closures.
 
-    ``inputs`` and ``outputs`` name the pre-resolved buffers the caller
-    copies into before :meth:`run` and reads after it.  The caller must
-    copy inputs in just before :meth:`run` and outputs *out* just after
-    it: every slot is rewritten by this replay, and by any other replay
-    of a plan sharing its :class:`SlotArena`.
-
-    The step closures hold views of arena slots, which other plans traced
-    through the same arena reuse, so replays of plans sharing an arena
-    must never overlap in time (the owner serializes them).  Each replay
-    writes every slot before reading it — the sanitizer checks that at
-    trace time — so what another plan left in a slot never leaks in.
-    ``slot_bytes`` is what the slots this plan uses hold,
-    ``peak_live_bytes`` the largest total of the plan's buffers live at
-    once during the trace — the floor any slot layout needs.  ``lanes``
-    is 2 when some step is a :class:`LaneStep`, else 1.
+    The caller copies into ``inputs`` just before :meth:`run` and out of
+    ``outputs`` just after it: the plan's bytes are shared with the other
+    plans of its :class:`SlotArena` chunk, whose replays the owner keeps
+    from overlapping.  Each replay writes every buffer before reading it
+    (the sanitizer checks that at trace time), so nothing another plan
+    left leaks in.  ``layout`` places the buffers; ``slot_bytes`` is the
+    chunk bytes it spans and ``peak_live_bytes`` the largest total of the
+    plan's buffers live at once, the floor any layout needs.
     """
 
     __slots__ = (
-        "signature", "steps", "inputs", "outputs", "labels", "replays",
-        "slot_bytes", "peak_live_bytes", "lanes",
+        "signature", "steps", "inputs", "outputs", "labels", "layout", "slot_bytes",
+        "peak_live_bytes",
     )
 
-    def __init__(
-        self,
-        signature: Signature,
-        steps: List[Callable[[], None]],
-        inputs: Dict[str, np.ndarray],
-        outputs: Dict[str, np.ndarray],
-        labels: Optional[List[str]] = None,
-        slot_bytes: int = 0,
-        peak_live_bytes: int = 0,
-        lanes: int = 1,
-    ):
+    def __init__(self, signature: Signature, steps: List[Callable[[], None]],
+                 inputs: Dict[str, np.ndarray], outputs: Dict[str, np.ndarray],
+                 labels: List[str], layout: Optional["Layout"], peak_live_bytes: int):
         self.signature = signature
         self.steps: Tuple[Callable[[], None], ...] = tuple(steps)
         self.inputs = dict(inputs)
         self.outputs = dict(outputs)
-        #: Human-readable step names, parallel to ``steps`` (sanitizer
-        #: diagnostics and ``plan_stats`` introspection).
-        self.labels: Tuple[str, ...] = tuple(
-            labels if labels is not None else (f"step[{i}]" for i in range(len(steps)))
-        )
-        self.replays = 0
-        self.slot_bytes = slot_bytes
+        #: Step names, parallel to ``steps`` (sanitizer diagnostics).
+        self.labels: Tuple[str, ...] = tuple(labels)
+        self.layout = layout
+        self.slot_bytes = layout.nbytes if layout is not None else 0
         self.peak_live_bytes = peak_live_bytes
-        self.lanes = lanes
 
     @hot_path
     def run(self) -> None:
         """Replay the recorded calls — nothing else happens on this path."""
         for step in self.steps:
             step()
-        self.replays += 1
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 class SlotArena:
-    """Flat ``uint8`` slots shared by every plan traced through it.
+    """Flat ``uint8`` chunks shared by every plan traced through it.
 
-    The arena only grows and never moves a slot, so a cached plan's views
-    stay valid however many plans are traced after it.  A
-    :class:`PlanBuilder` starts with every arena slot free and asks for a
-    new one only when none fits, so an arena first sized by its largest
-    plan serves the smaller ones from the same bytes.  Slots come from
-    ``pool.take_persistent`` when a pool is given, so the pool's
-    ``bytes_allocated`` counts them.
+    A plan goes in the first chunk its :class:`Layout` fits, else in a new
+    chunk of its size.  Chunks never move, so cached plans stay valid, and
+    an arena whose first plan is its largest serves the others from the
+    same bytes.  Chunks come from ``pool.take_persistent`` when a pool is
+    given, so the pool's ``bytes_allocated`` counts them.
     """
 
     def __init__(self, pool: Optional[BufferPool] = None):
         self._pool = pool
-        self.slots: List[np.ndarray] = []
+        self.chunks: List[np.ndarray] = []
         self.nbytes = 0
 
-    def grow(self, nbytes: int) -> np.ndarray:
-        """A new ``nbytes`` slot, owned by the arena from now on."""
+    def place(self, nbytes: int) -> np.ndarray:
+        for chunk in self.chunks:
+            if chunk.nbytes >= nbytes:
+                return chunk
         if self._pool is not None:
-            slot = self._pool.take_persistent((nbytes,), np.uint8)
+            chunk = self._pool.take_persistent((nbytes,), np.uint8)
         else:
-            # repro: waive[HOT001] pool-less trace-time slot acquisition — this IS the allocator the ban steers hot code toward
-            slot = np.empty(nbytes, dtype=np.uint8)
-        self.slots.append(slot)
+            chunk = _unpooled(nbytes)
+        self.chunks.append(chunk)
         self.nbytes += nbytes
-        return slot
+        return chunk
+
+
+#: Buffer orders :func:`_place` tries, by weight of (bytes, lifetime):
+#: largest first alone left the compact 32- and 64-window plans 20% and
+#: 15% above their peak live bytes.
+_ORDERS: Tuple[Callable[[int, int], Tuple[float, ...]], ...] = (
+    lambda size, life: (size,),
+    lambda size, life: (size * life,),
+    lambda size, life: (size * math.sqrt(life),),
+    lambda size, life: (life, size),
+)
+
+
+def _place(sizes: Sequence[int], spans: Sequence[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """Offsets for buffers of ``sizes`` bytes live over ``spans``, and the
+    bytes they span.  Greedy in each of :data:`_ORDERS` until one reaches
+    the peak live bytes (no layout spans fewer), keeping the smallest:
+    each buffer goes at the lowest offset clear of every buffer placed
+    before it whose span overlaps its own."""
+    peak = max((sum(z for z, (s, e) in zip(sizes, spans) if s <= t < e) for t, _ in spans),
+               default=0)
+    best: Tuple[List[int], float] = ([], math.inf)
+    for weigh in _ORDERS:
+        order = sorted(range(len(sizes)), reverse=True,
+                       key=lambda k: (weigh(sizes[k], spans[k][1] - spans[k][0]), -k))
+        offsets = [0] * len(sizes)
+        for i, k in enumerate(order):
+            start, end = spans[k]
+            for lo, hi in sorted((offsets[j], offsets[j] + sizes[j]) for j in order[:i]
+                                 if spans[j][0] < end and start < spans[j][1]):
+                if lo - offsets[k] >= sizes[k]:
+                    break
+                offsets[k] = max(offsets[k], hi)
+        nbytes = max((o + z for o, z in zip(offsets, sizes)), default=0)
+        if nbytes < best[1]:
+            best = (offsets, nbytes)
+        if nbytes <= peak:
+            break
+    return best[0], int(best[1])
+
+
+class Layout:
+    """Where the buffers of one plan go: the first pass's record, placed.
+
+    ``requests[k]`` is the ``(shape, dtype)`` of the k-th
+    :meth:`PlanBuilder.buffer` request, and ``spans[k]`` the trace
+    positions (counted over ``buffer`` and ``release`` calls; ``end`` of
+    them in all) between which it is live.  ``offsets[k]`` is its byte
+    offset in the chunk, a multiple of :data:`ALIGN`, such that no two
+    buffers live at once share a byte; ``nbytes`` the bytes they span.
+    """
+
+    def __init__(self, requests: Sequence[Tuple[Tuple[int, ...], np.dtype]],
+                 spans: Sequence[Tuple[int, int]], end: int):
+        self.requests = tuple(requests)
+        self.spans = tuple(spans)
+        self.end = end
+        sizes = [-(-math.prod(shape) * dtype.itemsize // ALIGN) * ALIGN
+                 for shape, dtype in self.requests]
+        self.offsets, self.nbytes = _place(sizes, self.spans)
 
 
 class PlanBuilder:
-    """Collects steps and hands out pre-resolved buffer slots during a trace.
+    """Collects steps and hands out pre-resolved buffers during a trace.
 
-    A slot is a flat ``uint8`` array of the builder's :class:`SlotArena`
-    (a private one unless the caller shares one); :meth:`buffer` hands out
-    a shaped view of one, and :meth:`release` gives the slot back once the
-    buffer's last consumer has been recorded.  Slots are reused by size: a
-    request is served from the smallest free slot with enough bytes,
-    whatever shape or dtype it held before, and grows the arena only when
-    none fits.  The tracer knows every lifetime exactly — it is writing
-    the schedule — so the plan's slot bytes stay within a small factor of
-    its peak live bytes (both recorded on the :class:`ExecutionPlan`).
+    :func:`trace` runs the recording code through two builders.  The
+    first, made without a ``layout``, records each :meth:`buffer`
+    request and the trace positions where it is handed out and released
+    (:meth:`layout`); its buffers are views of one scratch array no step
+    writes, so they never become resident.  The second hands each buffer
+    out at its planned offset in a chunk of ``arena`` (a private one
+    unless the caller shares one), and raises ``RuntimeError`` where its
+    requests or releases differ from the first pass's.
 
-    Under ``REPRO_NN_SANITIZE=1`` the builder carries a
-    :class:`repro.analysis.sanitize.PlanTracker`: slots get generation
-    tags, releases poison-fill the slot, and every :meth:`emit` may
-    declare the arrays the step ``reads``/``writes`` so use-after-release,
-    reads before any write and cross-slot aliasing are caught *at trace
-    time* with the offending step's label — before a single replay runs.
-
-    ``lanes`` is :func:`plan_lanes` read when the builder is made: 2 when
-    the tracer may use :meth:`emit_lanes` in this trace, else 1.
+    Under ``REPRO_NN_SANITIZE=1`` the second builder carries a
+    :class:`repro.analysis.sanitize.PlanTracker`: released buffers are
+    poison-filled, and every :meth:`emit` may declare the arrays the step
+    ``reads``/``writes``, so use-after-release, reads before any write,
+    writes after release and live buffers sharing bytes raise *at trace
+    time*, naming the offending step.
     """
 
-    def __init__(self, arena: Optional[SlotArena] = None):
-        self._arena = arena if arena is not None else SlotArena()
-        self.lanes = plan_lanes()
-        self._lanes_used = 1
+    def __init__(self, arena: Optional[SlotArena] = None, layout: Optional[Layout] = None):
+        self._layout = layout
         self._steps: List[Callable[[], None]] = []
         self._labels: List[str] = []
-        #: Free slots, reusable by any later request that fits: the whole
-        #: arena at first, then every released slot.
-        self._free: List[np.ndarray] = list(self._arena.slots)
-        #: ids of the arena slots this plan has used.
-        self._used: Set[int] = set()
+        self._requests: List[Tuple[Tuple[int, ...], np.dtype]] = []
+        #: [handed, released or None] per request, in trace positions.
+        self._spans: List[List[Optional[int]]] = []
+        self._clock = 0
         #: id of each array :meth:`buffer` handed out -> (that array, its
-        #: slot).  Holding the array keeps its id from being reused by an
-        #: unrelated array once the caller drops it.
-        self._handed: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        #: ids of handed-out arrays not yet released.
+        #: request index, the array views of it resolve to).  Holding the
+        #: array keeps its id from being reused by an unrelated array.
+        self._handed: Dict[int, Tuple[np.ndarray, int, Optional[np.ndarray]]] = {}
         self._live: Set[int] = set()
         self._live_bytes = 0
         self._peak_live_bytes = 0
-        self._slot_bytes = 0
-        self._tracker = sanitize.plan_tracker()
+        self._scratch = _unpooled(0)
+        self._tracker = None
+        if layout is not None:
+            arena = arena if arena is not None else SlotArena()
+            self._chunk = memoryview(arena.place(layout.nbytes))
+            self._tracker = sanitize.plan_tracker()
+
+    def _check(self, same: bool, what: str) -> None:
+        if not same:
+            raise RuntimeError(f"the second trace pass's {what} differs from the first's")
+
+    def _last_label(self) -> Optional[str]:
+        return self._labels[-1] if self._labels else None
 
     def buffer(self, shape, dtype=np.float32) -> np.ndarray:
-        """A plan-owned ``shape``/``dtype`` view of a (possibly reused) slot."""
+        """A plan-owned ``shape``/``dtype`` buffer (see the class docstring)."""
         shape = tuple(int(s) for s in shape)
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
-        slot = self._slot(nbytes)
-        arr = slot[:nbytes].view(dtype).reshape(shape)
-        self._handed[id(arr)] = (arr, slot)
+        k = len(self._requests)
+        anchor = None
+        if self._layout is None:
+            if self._scratch.nbytes < nbytes:
+                self._scratch = _unpooled(nbytes)
+            arr = self._scratch[:nbytes].view(dtype).reshape(shape)
+        else:
+            layout = self._layout
+            self._check(k < len(layout.requests) and layout.requests[k] == (shape, dtype)
+                        and layout.spans[k][0] == self._clock, f"buffer request {k}")
+            offset = layout.offsets[k]
+            # An array over its own memoryview, so views of it resolve to it.
+            anchor = np.frombuffer(self._chunk[offset : offset + nbytes], dtype)
+            arr = anchor.reshape(shape)
+            if self._tracker is not None:
+                self._tracker.on_buffer(anchor, at_step=self._last_label())
+        self._requests.append((shape, dtype))
+        self._spans.append([self._clock, None])
+        self._clock += 1
+        self._handed[id(arr)] = (arr, k, anchor)
         self._live.add(id(arr))
         self._live_bytes += nbytes
         self._peak_live_bytes = max(self._peak_live_bytes, self._live_bytes)
@@ -404,32 +480,13 @@ class PlanBuilder:
             self._tracker.on_input(arr)
         return arr
 
-    def _slot(self, nbytes: int) -> np.ndarray:
-        """The smallest free slot of at least ``nbytes``, else a new one."""
-        best = -1
-        for i, slot in enumerate(self._free):
-            if slot.nbytes >= nbytes and (
-                best < 0 or slot.nbytes <= self._free[best].nbytes
-            ):
-                best = i
-        slot = self._free.pop(best) if best >= 0 else self._arena.grow(nbytes)
-        recycled = id(slot) in self._used
-        if not recycled:
-            self._used.add(id(slot))
-            self._slot_bytes += slot.nbytes
-        if self._tracker is not None:
-            # A slot another plan used is new to this trace: its bytes are
-            # that plan's, so it too must be written before it is read.
-            self._tracker.on_buffer(slot, recycled=recycled)
-        return slot
-
     def release(self, arr: np.ndarray) -> None:
-        """Give the slot behind ``arr`` back for later :meth:`buffer` requests.
+        """Let later :meth:`buffer` requests be placed over ``arr``'s bytes.
 
         ``arr`` must be an array :meth:`buffer` returned, released once:
         a view of it, an array this builder did not hand out, or a second
-        release raises ``ValueError`` — each would put a live slot's
-        memory back in circulation.
+        release raises ``ValueError`` — each would put a live buffer's
+        bytes back in circulation.
         """
         entry = self._handed.get(id(arr))
         if entry is None:
@@ -439,13 +496,15 @@ class PlanBuilder:
             )
         if id(arr) not in self._live:
             raise ValueError("buffer released twice")
+        _, k, anchor = entry
+        if self._layout is not None:
+            self._check(self._layout.spans[k][1] == self._clock, f"release of buffer {k}")
         self._live.discard(id(arr))
         self._live_bytes -= arr.nbytes
-        slot = entry[1]
-        self._free.append(slot)
+        self._spans[k][1] = self._clock
+        self._clock += 1
         if self._tracker is not None:
-            last = self._labels[-1] if self._labels else None
-            self._tracker.on_release(slot, at_step=last)
+            self._tracker.on_release(anchor, at_step=self._last_label())
 
     def emit(
         self,
@@ -457,11 +516,11 @@ class PlanBuilder:
         """Append one recorded backend call to the plan.
 
         ``label`` names the step in sanitizer diagnostics; ``reads`` and
-        ``writes`` declare the plan slots (or views into them) the closure
-        touches.  The declarations are advisory when the sanitizer is off
-        and checked immediately when it is on — a step reading a released
-        slot raises :class:`repro.analysis.sanitize.PlanSanitizeError`
-        naming ``label``.
+        ``writes`` declare the plan buffers (or views into them) the
+        closure touches.  The declarations are advisory when the sanitizer
+        is off and checked immediately when it is on — a step reading a
+        released buffer raises
+        :class:`repro.analysis.sanitize.PlanSanitizeError` naming ``label``.
         """
         name = label if label is not None else f"step[{len(self._steps)}]"
         if self._tracker is not None:
@@ -469,27 +528,10 @@ class PlanBuilder:
         self._steps.append(step)
         self._labels.append(name)
 
-    def emit_lanes(
-        self,
-        lanes: Tuple[Lane, Lane],
-        label: str,
-        reads: Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]],
-        writes: Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]],
-    ) -> None:
-        """Append one :class:`LaneStep` running ``lanes[0]`` and ``lanes[1]``.
-
-        ``reads[i]`` and ``writes[i]`` declare the plan memory lane ``i``
-        reads from earlier steps and writes.  With the sanitizer on, each
-        lane is checked as :meth:`emit` checks a step, and a lane writing
-        memory the other lane reads or writes raises
-        :class:`repro.analysis.sanitize.PlanSanitizeError` naming
-        ``label``: the lanes run at the same time.
-        """
-        if self._tracker is not None:
-            self._tracker.on_emit_lanes(label, reads, writes)
-        self._steps.append(LaneStep(lanes))
-        self._labels.append(label)
-        self._lanes_used = 2
+    def layout(self) -> Layout:
+        """The first pass's record, placed."""
+        spans = [(start, self._clock if end is None else end) for start, end in self._spans]
+        return Layout(self._requests, spans, self._clock)
 
     def build(
         self,
@@ -497,11 +539,24 @@ class PlanBuilder:
         inputs: Dict[str, np.ndarray],
         outputs: Dict[str, np.ndarray],
     ) -> ExecutionPlan:
+        if self._layout is not None:
+            self._check(self._clock == self._layout.end, "count of requests and releases")
         return ExecutionPlan(
             signature, self._steps, inputs, outputs, self._labels,
-            slot_bytes=self._slot_bytes, peak_live_bytes=self._peak_live_bytes,
-            lanes=self._lanes_used,
+            self._layout, self._peak_live_bytes,
         )
+
+
+def trace(
+    record: Callable[[PlanBuilder], ExecutionPlan], arena: Optional[SlotArena] = None
+) -> ExecutionPlan:
+    """Run ``record`` (which emits into the builder it is given and returns
+    ``builder.build(...)``) twice: once to learn every buffer's bytes and
+    lifetime, once to place the plan in a chunk of ``arena`` (a private
+    one when ``None``) at the offsets planned from the first."""
+    first = PlanBuilder()
+    record(first)
+    return record(PlanBuilder(arena, first.layout()))
 
 
 class PlanCache:
@@ -511,10 +566,9 @@ class PlanCache:
     ``fallbacks`` counts calls that ran the untraced path (plan layer
     disabled, unsupported structure, or a failed trace-time validation).
     Every plan of the cache is traced through its one :attr:`arena`:
-    ``slot_bytes`` reports the arena's bytes (evicted plans' slots stay
-    in it for the next trace), ``peak_live_bytes`` the largest cached
-    plan's figure and ``lanes`` the most lanes a cached plan replays on
-    (see :class:`ExecutionPlan`).  The serving engine
+    ``slot_bytes`` reports the arena's bytes (evicted plans' chunks stay
+    in it for the next trace) and ``peak_live_bytes`` the largest cached
+    plan's figure (see :class:`ExecutionPlan`).  The serving engine
     surfaces these via ``plan_stats()`` next to ``buffer_pool_stats()``.
     """
 
@@ -542,19 +596,6 @@ class PlanCache:
             self._plans.popitem(last=False)
         return plan
 
-    def record_replay(self, n: int = 1) -> None:
-        self.replays += n
-
-    def record_fallback(self, n: int = 1) -> None:
-        self.fallbacks += n
-
-    def clear(self) -> None:
-        """Drop every cached plan (counters and arena slots are kept)."""
-        self._plans.clear()
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
     @property
     def stats(self) -> Dict[str, int]:
         return {
@@ -566,5 +607,4 @@ class PlanCache:
             "peak_live_bytes": max(
                 (p.peak_live_bytes for p in self._plans.values()), default=0
             ),
-            "lanes": max((p.lanes for p in self._plans.values()), default=0),
         }

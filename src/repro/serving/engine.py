@@ -381,7 +381,8 @@ class InferenceEngine:
         return names
 
     def _ensemble_stats(self, attr: str) -> Dict[str, Dict[str, int]]:
-        """``.stats`` of each fused ensemble's ``attr`` (pool or plan cache).
+        """``.stats`` of each fused ensemble's ``attr`` (its pool), or what
+        ``attr`` returns when it is a method (``plan_stats``).
 
         Covers pipelines whose serving path runs through the fused
         ensemble (CamAL and its estimator adapter); other estimators, and
@@ -395,8 +396,9 @@ class InferenceEngine:
                     getattr(pipeline, "pipeline", None), "ensemble", None
                 )
             owner = getattr(ensemble, attr, None)
-            if owner is not None:
-                stats[name] = owner.stats
+            found = owner() if callable(owner) else getattr(owner, "stats", None)
+            if found:
+                stats[name] = found
         return stats
 
     def buffer_pool_stats(self) -> Dict[str, Dict[str, int]]:
@@ -411,11 +413,12 @@ class InferenceEngine:
         """Per-appliance execution-plan cache counters (repro.nn.plan).
 
         Pipelines serving through the fused ensemble report ``plans`` /
-        ``traces`` / ``replays`` / ``fallbacks``.  In steady state
-        ``replays`` grows while ``traces`` stays flat — every batch reuses
-        a recorded plan instead of re-dispatching through the module graph.
+        ``traces`` / ``replays`` / ``fallbacks``, summed over both plan
+        caches (``ResNetEnsemble.plan_stats``).  In steady state ``replays``
+        grows while ``traces`` stays flat — every batch reuses a recorded
+        plan instead of re-dispatching through the module graph.
         """
-        return self._ensemble_stats("_plan_cache")
+        return self._ensemble_stats("plan_stats")
 
     def _localize_cached(
         self, appliance: str, pipeline, windows: np.ndarray

@@ -488,8 +488,8 @@ class ServingDaemon:
         replaying it; with bucketing the signature space is the small
         power-of-two ladder, so paying all of it at startup keeps live
         p99 flat from the very first request.  The ladder is traced
-        largest first: an ensemble's plans share one slot arena, and
-        sizing it by the biggest plan lets the smaller ones fit in it.
+        largest first: an ensemble's plans share arena chunks, and
+        sizing them by the biggest plan lets the smaller ones fit in them.
         """
         window = self.engine.config.window
         bucket = 1 << (self.config.max_batch_windows - 1).bit_length()

@@ -10,10 +10,9 @@ Grown out of the original single-file module into a package:
 * :mod:`repro.training.checkpoint` — bit-for-bit checkpoint/resume
   (model + optimizer + scheduler + RNG state in one ``.npz``).
 
-Ensemble-level orchestration — including the process-parallel
-``train_ensemble_parallel`` that fans Algorithm 1's independent
-candidates over worker processes — lives in :mod:`repro.core.ensemble`,
-which builds on these loops.
+Ensemble-level orchestration — including ``train_ensemble(n_workers=...)``,
+which fans Algorithm 1's independent candidates over worker processes —
+lives in :mod:`repro.core.ensemble`, which builds on these loops.
 
 The public API of the old ``repro.training`` module is re-exported here
 unchanged; ``from repro.training import train_classifier`` keeps working.

@@ -14,12 +14,18 @@ every draw.  Example counts stay small so tier-1 stays fast.
 * **The fused ensemble forward is batch-size invariant**: a window's
   ``proba`` and CAM bits from ``forward_fused`` do not depend on the batch
   it is scored in, at the compact preset and at paper width.
-* **Two lanes change nothing but the time**: a plan whose tiled conv
-  groups run on two lanes replays the one-lane plan's bits, counts one
-  GEMM per tile, runs a lone tile on one lane, raises a failure in lane 1
-  on the caller, and waits for lane 1 through an interrupt.  The lane
-  count is forced through ``repro.nn.plan.plan_lanes``, so these run
-  whatever the box's BLAS threads and CPUs.
+* **Two lanes change nothing but the time**: a batch splits into two
+  halves exactly where its one-lane plan tiles a conv group, and the
+  halves, replayed at once on two lanes, give the one-lane plan's and the
+  member loop's bits; a busy helper leaves both halves to the caller, a
+  failure in the helper's half is raised on the caller, and the caller
+  waits for the helper through an interrupt.  The lane count is forced
+  through ``repro.nn.plan.plan_lanes``, so these run whatever the box's
+  BLAS threads and CPUs.
+* **Planned arenas**: no two buffers live at once share a byte, the
+  plans the workloads replay span exactly their aligned peak live bytes,
+  and plans sharing an arena chunk, or growing the arena by a chunk,
+  replay their own bits.
 * **Algorithm 1 on one lane == on two lanes == on two worker
   processes**: the candidates' weights and validation losses and the
   selected members are the same bits however the candidates are spread,
@@ -34,6 +40,8 @@ every draw.  Example counts stay small so tier-1 stays fast.
 """
 
 import contextlib
+import functools
+import math
 import os
 import signal
 import subprocess
@@ -52,7 +60,7 @@ from repro import nn
 from repro import simdata as sd
 from repro.core import CamAL, EnsembleConfig, ResNetConfig, ResNetEnsemble, ResNetTSC
 from repro.core import ensemble as algorithm1
-from repro.core.grouped import COLUMN_BUDGET_BYTES
+from repro.core.grouped import COLUMN_BUDGET_BYTES, compile_ensemble_plan, widest_columns
 from repro.core.resnet import DEFAULT_FILTERS, DEFAULT_KERNEL_SET
 from repro.data import AGGREGATE_CHANNEL, IngestConfig, ingest_corpus
 from repro.nn import backend, check_gradients
@@ -286,23 +294,28 @@ class TestFusedForwardBatchSizeInvariance:
 
 
 def _lanes(n):
-    """Trace plans with ``n`` lanes inside the block."""
+    """Work started inside the block sees ``n`` lanes."""
     return mock.patch.object(nn.plan, "plan_lanes", lambda: n)
 
 
 @st.composite
 def lane_cases(draw):
-    """An ensemble shape and a batch size from 1 up to twice the smallest
-    batch whose widest conv group (unit 2's kernel-5 block) is tiled."""
+    """An ensemble shape and a batch size from 1 up to twice the first
+    batch whose widest conv group is tiled."""
     members = draw(st.integers(1, 3))
     f1 = draw(st.sampled_from((8, 16)))
     f2 = draw(st.sampled_from((32, 48, 64)))
+    f3 = draw(st.sampled_from((f2, 2 * f2)))
     length = draw(st.sampled_from((64, 96, 128)))
-    tiled_n = COLUMN_BUDGET_BYTES // (members * f2 * 5 * length * 4) + 1
+    kernels = tuple(draw(st.lists(st.sampled_from((3, 5, 7, 9, 15)),
+                                  min_size=members, max_size=members)))
+    # Widest group: unit 3's kernel-5 block (all members) or a unit-3
+    # block1 group (the members sharing a kernel).
+    widest = 4 * length * max([members * f3 * 5] + [kernels.count(k) * f2 * k for k in kernels])
+    tiled_n = COLUMN_BUDGET_BYTES // widest + 1
     return dict(
-        kernels=tuple(draw(st.lists(st.sampled_from((3, 5, 7, 9, 15)),
-                                    min_size=members, max_size=members))),
-        filters=(f1, f2, draw(st.sampled_from((f2, 2 * f2)))),
+        kernels=kernels,
+        filters=(f1, f2, f3),
         length=length,
         n=draw(st.integers(1, 2 * tiled_n)),
         tiled_n=tiled_n,
@@ -317,61 +330,115 @@ def _lane_ensemble(case):
     ])
 
 
-def _plan(ensemble):
-    (plan,) = ensemble.plan_cache._plans.values()
+def _plan(cache):
+    (plan,) = cache._plans.values()
     return plan
 
 
-def _lane_steps(plan):
-    return [step for step in plan.steps if isinstance(step, nn.plan.LaneStep)]
+def _member_loop(ensemble, x):
+    n, length = x.shape
+    proba = np.zeros(n, dtype=np.float32)
+    cam = np.zeros((n, length), dtype=np.float32)
+    with nn.no_grad():
+        ensemble._forward_fused_loop(x, proba, cam, 0, class_index=1)
+    return proba, cam
+
+
+#: A batch that splits at its first sight: 24 windows of 12 + 12.
+SPLIT_CASE = dict(kernels=(5, 9), filters=(16, 64, 64), length=128, n=24, seed=3)
 
 
 class TestLanes:
-    """Tiled conv groups on two lanes: the replaying thread and a helper."""
+    """Two lanes replay the two halves of a batch whose one-lane plan
+    would tile a conv group: the calling thread one half, the lane helper
+    the other, each from its own plan cache."""
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(lane_cases())
     # Paper filters at the paper's window of 510, one kernel-25 member: one
-    # window's columns exceed the budget in several groups, so at N=1 each
-    # is a lone tile, lane 1 would have nothing to run, and lanes engage at N=2.
-    @example(dict(kernels=(25,), filters=DEFAULT_FILTERS, length=510, n=1, tiled_n=2, seed=5))
-    @example(dict(kernels=(25,), filters=DEFAULT_FILTERS, length=510, n=2, tiled_n=2, seed=5))
+    # window's columns exceed the budget in several groups, so N=1 is tiled
+    # but cannot split, and N=2 splits into two one-window halves.
+    @example(dict(kernels=(25,), filters=DEFAULT_FILTERS, length=510, n=1, tiled_n=1, seed=5))
+    @example(dict(kernels=(25,), filters=DEFAULT_FILTERS, length=510, n=2, tiled_n=1, seed=5))
     def test_two_lanes_replay_one_lane_bits(self, case):
         n, length = case["n"], case["length"]
         x = np.random.default_rng(case["seed"]).random((n, length)).astype(np.float32)
-        got = {}
+        one_lane, ensemble = _lane_ensemble(case), _lane_ensemble(case)
         with backend.use_backend("im2col"):
-            for lanes in (1, 2):
-                ensemble = _lane_ensemble(case)
-                with _lanes(lanes):
-                    ensemble.forward_fused(x, batch_size=n)  # traces
+            with _lanes(1):
+                want = one_lane.forward_fused(x, batch_size=n)
+            with _lanes(2):
+                first = ensemble.forward_fused(x, batch_size=n)  # traces
                 backend.reset_op_counts()
-                got[lanes] = ensemble.forward_fused(x, batch_size=n)  # replays
+                again = ensemble.forward_fused(x, batch_size=n)  # replays
                 gemms = backend.op_counts()["fused_conv_gemms"]
-                plan = _plan(ensemble)
-                tiles = sum(len(lane) for step in _lane_steps(plan) for lane in step.lanes)
-                untiled = sum(label.startswith("gemm[") for label in plan.labels)
-                # Counted on the replaying thread once both lanes are done:
-                # one GEMM per tile, none lost to the helper thread.
-                assert gemms == tiles + untiled
-                assert backend.op_counts()["fused_conv_calls"] == gemms
-                assert ensemble.plan_cache.stats["lanes"] == (2 if tiles else 1)
-                assert ensemble.plan_cache.fallbacks == 0
-            proba = np.zeros(n, dtype=np.float32)
-            cam = np.zeros((n, length), dtype=np.float32)
-            with nn.no_grad():
-                ensemble._forward_fused_loop(x, proba, cam, 0, class_index=1)
-        assert got[2].proba.tobytes() == got[1].proba.tobytes()
-        assert got[2].cam.tobytes() == got[1].cam.tobytes()
-        assert np.array_equal(got[2].cam, cam)
-        if n >= case["tiled_n"]:
-            assert ensemble.plan_cache.stats["lanes"] == 2
+            proba, cam = _member_loop(ensemble, x)
+        # A batch splits exactly where its one-lane plan tiles a group.
+        labels = _plan(one_lane.plan_cache).labels
+        tiled = any(",w" in label for label in labels if label.startswith("gemm["))
+        first_tiled = COLUMN_BUDGET_BYTES // widest_columns(ensemble.models, length) + 1
+        assert tiled == (n >= first_tiled)
+        split = ensemble.second_plan_cache.stats["plans"] == 1
+        assert split == (tiled and n >= 2)
+        halves = [_plan(ensemble.plan_cache)] + ([_plan(ensemble.second_plan_cache)] if split else [])
+        assert [plan.signature[0] for plan in halves] == ([(n + 1) // 2, n // 2] if split else [n])
+        # Each half counts its GEMMs, none lost to the helper thread.
+        assert gemms == sum(label.startswith("gemm[") for plan in halves for label in plan.labels)
+        assert ensemble.plan_stats()["fallbacks"] == 0
+        for got in (first, again):
+            assert got.proba.tobytes() == want.proba.tobytes()
+            assert got.cam.tobytes() == want.cam.tobytes()
+        assert np.array_equal(want.cam, cam)
+        np.testing.assert_allclose(want.proba, proba, rtol=0, atol=1e-6)
+
+    def test_a_compact_16_window_batch_does_not_split(self, ensemble_of):
+        """serve-compact's live batches (1-8 windows a request) stay whole:
+        at compact width a group first tiles at 18 windows."""
+        models = ensemble_of("compact").models
+        assert COLUMN_BUDGET_BYTES // widest_columns(models, 128) + 1 == 18
+        ensemble = ResNetEnsemble(models)
+        x = np.random.default_rng(0).random((18, 128)).astype(np.float32)
+        with backend.use_backend("im2col"), _lanes(2):
+            ensemble.forward_fused(x[:16], batch_size=16)
+            assert ensemble.second_plan_cache.stats["plans"] == 0
+            ensemble.forward_fused(x, batch_size=18)
+        assert ensemble.second_plan_cache.stats["plans"] == 1
+        assert sorted(p.signature[0] for p in ensemble.plan_cache._plans.values()) == [9, 16]
+
+    def test_a_busy_helper_leaves_both_halves_to_the_caller(self):
+        """While the helper runs other work, the calling thread claims and
+        replays both halves itself, with the same bits, instead of waiting."""
+        x = np.random.default_rng(0).random((24, 128)).astype(np.float32)
+        one_lane, ensemble = _lane_ensemble(SPLIT_CASE), _lane_ensemble(SPLIT_CASE)
+        busy, release = threading.Event(), threading.Event()
+
+        class Busy:
+            def run_on_helper(self):
+                busy.set()
+                release.wait(60)
+
+        with backend.use_backend("im2col"):
+            with _lanes(1):
+                want = one_lane.forward_fused(x, batch_size=24)
+            nn.plan._lane_helper().submit(Busy())
+            assert busy.wait(10)
+            try:
+                with _lanes(2):
+                    got = [ensemble.forward_fused(x, batch_size=24) for _ in range(2)]
+                helper_still_busy = not release.is_set()
+            finally:
+                release.set()
+        assert helper_still_busy and ensemble.second_plan_cache.stats["plans"] == 1
+        for out in got:
+            assert out.proba.tobytes() == want.proba.tobytes()
+            assert out.cam.tobytes() == want.cam.tobytes()
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
     def test_an_interrupted_join_still_waits_for_lane_one(self):
         """A signal handler raising (as Ctrl-C raises KeyboardInterrupt)
-        while the replaying thread waits for lane 1: the step raises it only
-        once lane 1 has ended, and later calls still wait for their lane 1."""
+        while the calling thread waits for the task the helper claimed:
+        ``run_on_lanes`` raises it only once that task has ended, and later
+        calls still wait for theirs."""
 
         class Interrupt(Exception):
             pass
@@ -380,60 +447,148 @@ class TestLanes:
             raise Interrupt
 
         main = threading.main_thread().ident
-        lane0_ended = threading.Event()
+        helper = nn.plan._lane_helper().thread
         ended = []
 
-        def lane1(interrupt):
-            lane0_ended.wait(10)
-            time.sleep(0.05)  # the replaying thread is waiting by now
+        def task(interrupt, helper_started):
+            if threading.current_thread() is not helper:
+                helper_started.wait(10)  # the helper claims the other task
+                return
+            helper_started.set()
+            time.sleep(0.05)  # the calling thread is waiting by now
             if interrupt:
                 signal.pthread_kill(main, signal.SIGUSR1)
             time.sleep(0.05)
             ended.append(interrupt)
 
-        step = nn.plan.LaneStep(([lane0_ended.set], [lambda: lane1(True)]))
         previous = signal.signal(signal.SIGUSR1, on_signal)
         try:
             with pytest.raises(Interrupt):
-                step()
+                nn.plan.run_on_lanes([functools.partial(task, True, threading.Event())] * 2)
             assert ended == [True]
-            lane0_ended.clear()
-            step.lanes = (step.lanes[0], (lambda: lane1(False),))
-            step()
+            nn.plan.run_on_lanes([functools.partial(task, False, threading.Event())] * 2)
             assert ended == [True, False]
         finally:
             signal.signal(signal.SIGUSR1, previous)
-        assert nn.plan._lane_helper().thread.is_alive()
+        assert nn.plan._lane_helper().thread is helper and helper.is_alive()
 
     def test_a_failure_in_lane_one_is_raised_on_the_caller(self):
-        case = dict(kernels=(5, 9), filters=(16, 64, 64), length=128, n=24, seed=3)
+        """A failure in the half the helper replays is raised on the calling
+        thread once both halves have ended; the helper survives it, and the
+        next replay is whole again."""
         x = np.random.default_rng(0).random((24, 128)).astype(np.float32)
-        one_lane = _lane_ensemble(case)
-        ensemble = _lane_ensemble(case)
+        one_lane, ensemble = _lane_ensemble(SPLIT_CASE), _lane_ensemble(SPLIT_CASE)
+        helper = nn.plan._lane_helper().thread
+        helper_failed = threading.Event()
         ran_on = []
 
-        def fail():
-            ran_on.append(threading.current_thread().name)
-            raise RuntimeError("lane 1 failed")
+        def gate():
+            """First step of both halves: fails on the helper; on the caller,
+            waits for that, so each lane runs one half."""
+            if threading.current_thread() is helper:
+                ran_on.append(helper.name)
+                helper_failed.set()
+                raise RuntimeError("lane 1 failed")
+            assert helper_failed.wait(10)
 
         with backend.use_backend("im2col"):
             with _lanes(1):
                 want = one_lane.forward_fused(x, batch_size=24)
             with _lanes(2):
                 ensemble.forward_fused(x, batch_size=24)
-            helper = nn.plan._lane_helper().thread
-            step = _lane_steps(_plan(ensemble))[0]
-            lanes = step.lanes
-            # Fail before lane 1's tiles run, so that replay leaves them unwritten.
-            step.lanes = (lanes[0], (fail,) + lanes[1])
-            with pytest.raises(RuntimeError, match="lane 1 failed"):
-                ensemble.forward_fused(x, batch_size=24)
-            step.lanes = lanes
-            got = ensemble.forward_fused(x, batch_size=24)
+                halves = [_plan(ensemble.plan_cache), _plan(ensemble.second_plan_cache)]
+                steps = [plan.steps for plan in halves]
+                for plan in halves:
+                    plan.steps = (gate,) + plan.steps
+                with pytest.raises(RuntimeError, match="lane 1 failed"):
+                    ensemble.forward_fused(x, batch_size=24)
+                for plan, kept in zip(halves, steps):
+                    plan.steps = kept
+                got = ensemble.forward_fused(x, batch_size=24)
         assert ran_on == [helper.name] and helper.name != threading.current_thread().name
         assert nn.plan._lane_helper().thread is helper and helper.is_alive()
         assert got.proba.tobytes() == want.proba.tobytes()
         assert got.cam.tobytes() == want.cam.tobytes()
+
+
+def _aligned_peak(layout):
+    """The most aligned bytes of ``layout``'s buffers live at one time: no
+    placement of them spans fewer."""
+    sizes = [-(-math.prod(shape) * dtype.itemsize // nn.plan.ALIGN) * nn.plan.ALIGN
+             for shape, dtype in layout.requests]
+    return max(
+        sum(size for size, (s, e) in zip(sizes, layout.spans) if s <= start < e)
+        for start, _ in layout.spans
+    )
+
+
+def _replay(plan, x):
+    np.copyto(plan.inputs["x"], x)
+    plan.run()
+    return plan.outputs["proba"].tobytes() + plan.outputs["cam"].tobytes()
+
+
+class TestPlannedArenas:
+    """A plan's buffers sit at planned offsets in one arena chunk, sized to
+    the plan's peak live bytes."""
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(lane_cases())
+    def test_live_buffers_never_share_bytes(self, case):
+        """Over generated shapes: no two buffers live at once overlap, the
+        chunk is at least the aligned peak (no layout is smaller) and
+        greedy placement stays near it."""
+        plan = compile_ensemble_plan(_lane_ensemble(case).models, None, case["n"], case["length"])
+        layout = plan.layout
+        sizes = [math.prod(shape) * dtype.itemsize for shape, dtype in layout.requests]
+        placed = list(zip(layout.offsets, sizes, layout.spans))
+        for i, (offset, size, (start, end)) in enumerate(placed):
+            assert offset % nn.plan.ALIGN == 0 and offset + size <= plan.slot_bytes
+            for other, other_size, (other_start, other_end) in placed[:i]:
+                if start < other_end and other_start < end:
+                    assert offset + size <= other or other + other_size <= offset
+        assert _aligned_peak(layout) <= plan.slot_bytes <= 1.1 * _aligned_peak(layout)
+        assert plan.peak_live_bytes <= _aligned_peak(layout)
+
+    @pytest.mark.parametrize("preset,sizes", [
+        ("compact", (1, 2, 4, 8, 9, 16, 32, 64, 128)),
+        ("paper", (1, 8, 16)),
+    ])
+    def test_workload_plans_span_their_peak(self, ensemble_of, preset, sizes):
+        """The plans serve-compact's ladder and bulk-paper's halves replay
+        span exactly their aligned peak live bytes."""
+        models = ensemble_of(preset).models
+        for n in sizes:
+            plan = compile_ensemble_plan(models, None, n, 128)
+            assert plan.slot_bytes == _aligned_peak(plan.layout), n
+            assert plan.slot_bytes <= 1.01 * plan.peak_live_bytes, n
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(lane_cases())
+    def test_plans_share_chunks_and_grow_the_arena(self, case):
+        """A smaller plan goes in the chunk a larger one made and replays its
+        own bits; a plan larger than every chunk gets a new chunk, and the
+        plans before it still replay theirs."""
+        models = _lane_ensemble(case).models
+        length, n = case["length"], case["n"]
+        x = np.random.default_rng(case["seed"]).random((2 * n + 1, length)).astype(np.float32)
+        with backend.use_backend("im2col"):
+            alone = {
+                size: _replay(compile_ensemble_plan(models, None, size, length), x[:size])
+                for size in (n, 2 * n + 1)
+            }
+            arena = nn.SlotArena()
+            large = compile_ensemble_plan(models, arena, n, length)
+            small = compile_ensemble_plan(models, arena, 1, length)
+            assert len(arena.chunks) == 1 and arena.nbytes == large.slot_bytes
+            assert _replay(small, x[:1]) == _replay(
+                compile_ensemble_plan(models, None, 1, length), x[:1]
+            )
+            larger = compile_ensemble_plan(models, arena, 2 * n + 1, length)
+            assert len(arena.chunks) == 2
+            assert arena.nbytes == large.slot_bytes + larger.slot_bytes
+            assert _replay(larger, x) == alone[2 * n + 1]
+            assert _replay(large, x[:n]) == alone[n]
 
 
 @st.composite
