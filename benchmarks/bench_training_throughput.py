@@ -10,10 +10,11 @@ loss history exactly).
 
 The serial run is confined to one CPU, so it trains one candidate at a
 time.  A third run takes :func:`repro.core.train_ensemble`'s defaults,
-which train two candidates at a time in-process when
+which step the candidates in turn on two lanes in-process when
 :func:`repro.nn.plan.plan_lanes` gives two lanes (OpenBLAS on one thread,
-two or more CPUs): ``lanes_seconds`` times it, and it must select the
-serial run's ensemble too.
+two or more CPUs): ``lanes_seconds`` times it, ``lanes_speedup`` is
+``serial_seconds / lanes_seconds``, and it must select the serial run's
+ensemble too.
 
 Run standalone for the JSON report::
 
@@ -134,6 +135,7 @@ def run_benchmark(smoke: bool = False, n_workers: int = N_WORKERS) -> dict:
         ),
         "lanes": lanes,
         "lanes_seconds": lanes_seconds,
+        "lanes_speedup": serial_seconds / lanes_seconds,
         "lanes_match_serial": _ensembles_identical(serial_ensemble, lanes_ensemble),
         "resume_matches_uninterrupted": _check_resume(x, y, config.filters),
     }

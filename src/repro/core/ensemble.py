@@ -7,11 +7,11 @@ validation set, and keep the ``n`` models with the lowest validation loss.
 
 The candidates are fully independent — each is seeded by a deterministic
 function of ``(seed, kernel, trial)`` — so :func:`train_ensemble` can
-train two at a time on two threads in-process (when
-:func:`repro.nn.plan.plan_lanes` allows two lanes) or fan them out over a
-``ProcessPoolExecutor`` (``n_workers > 1``), and produce results
-bit-identical to the serial order.  With ``checkpoint_dir`` set, every
-candidate writes a resumable per-candidate checkpoint (see
+step them in turn on two lanes in-process, one optimizer step at a time
+(when :func:`repro.nn.plan.plan_lanes` allows two lanes), or fan them
+out over a ``ProcessPoolExecutor`` (``n_workers > 1``), and produce
+results bit-identical to the serial order.  With ``checkpoint_dir`` set,
+every candidate writes a resumable per-candidate checkpoint (see
 :mod:`repro.training.checkpoint`), so an interrupted ensemble run picks up
 where it left off instead of retraining finished members.
 """
@@ -21,18 +21,17 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import nn
 from ..nn import functional as F
 from ..nn.tensor import Tensor
-from ..training import TrainConfig, evaluate_classifier_loss, predict_proba, train_classifier
+from ..training import TrainConfig, classifier_steps, evaluate_classifier_loss, predict_proba
+from ..training import train_classifier  # noqa: F401  perfbench's training probes wrap it
 from .cam import cam_from_features, normalize_cam
 from .resnet import DEFAULT_FILTERS, DEFAULT_KERNEL_SET, ResNetConfig, ResNetTSC
 
@@ -406,11 +405,18 @@ def _candidate_plans(
     return plans
 
 
-def _train_candidate(
-    plan: _CandidatePlan, data: Tuple
-) -> Tuple[_CandidatePlan, Dict[str, np.ndarray], float, float]:
-    """Train one candidate; returns its state dict instead of the model so
-    the result crosses process boundaries without pickling live modules."""
+#: What a trained candidate comes back as: its grid row, state dict,
+#: validation loss and the seconds its training steps ran.
+_Outcome = Tuple[_CandidatePlan, Dict[str, np.ndarray], float, float]
+
+
+def _train_candidate(plan: _CandidatePlan, data: Tuple) -> Generator[None, None, _Outcome]:
+    """Train one candidate, one optimizer step per ``next()``.
+
+    Returns its state dict instead of the model so the outcome crosses
+    process boundaries without pickling live modules.  The model is built
+    at the first step, so a chain not yet stepped holds none.
+    """
     filters, train_config, x_sub, y_sub, x_mon, y_mon, x_val, y_val = data
     _, kernel_size, _, model_seed, checkpoint_path = plan
     model = ResNetTSC(
@@ -419,49 +425,10 @@ def _train_candidate(
     train_cfg = replace(
         train_config, seed=model_seed, checkpoint_path=checkpoint_path
     )
-    result = train_classifier(model, x_sub, y_sub, x_mon, y_mon, train_cfg)
+    result = yield from classifier_steps(model, x_sub, y_sub, x_mon, y_mon, train_cfg)
     model.eval()
     val_loss = evaluate_classifier_loss(model, x_val, y_val)
     return plan, model.state_dict(), float(val_loss), result.wall_time_seconds
-
-
-def _train_on_two_lanes(plans: Sequence[_CandidatePlan], data: Tuple) -> List:
-    """Train the candidates two at a time on a two-thread executor.
-
-    The largest kernels go first, so the longest candidates do not start
-    last and leave one lane idle at the end.  A candidate is handed to the
-    executor only when a lane is free and none has failed: after a
-    failure or an interrupt, the candidates not yet started never run.
-    Either is raised here once the running candidates have ended, and no
-    executor thread outlives the call.  Outcomes come back in grid order.
-    """
-    todo = sorted(range(len(plans)), key=lambda i: -plans[i][1])
-    outcomes: List = [None] * len(plans)
-    running = {}  # future -> grid index
-    finished = queue.SimpleQueue()  # futures, as they end
-    executor = ThreadPoolExecutor(max_workers=2, thread_name_prefix="repro-candidate")
-    try:
-        while todo or running:
-            while todo and len(running) < 2:
-                index = todo.pop(0)
-                future = executor.submit(_train_candidate, plans[index], data)
-                running[future] = index
-                future.add_done_callback(finished.put)
-            future = finished.get()
-            outcomes[running.pop(future)] = future.result()
-    finally:
-        # Wait for the running candidates even through an interrupt, and
-        # raise it after, as repro.nn.plan.run_on_lanes does for its helper.
-        interrupt = None
-        while True:
-            try:
-                executor.shutdown(wait=True, cancel_futures=True)
-                break
-            except BaseException as exc:
-                interrupt = exc
-        if interrupt is not None:
-            raise interrupt
-    return outcomes
 
 
 def _init_worker(data: Tuple) -> None:
@@ -469,8 +436,8 @@ def _init_worker(data: Tuple) -> None:
     _WORKER_DATA = data
 
 
-def _train_candidate_in_worker(plan: _CandidatePlan):
-    return _train_candidate(plan, _WORKER_DATA)
+def _train_candidate_in_worker(plan: _CandidatePlan) -> _Outcome:
+    return nn.plan.run_chain(_train_candidate(plan, _WORKER_DATA))
 
 
 def train_ensemble(
@@ -490,11 +457,14 @@ def train_ensemble(
             (Algorithm 1's ``D_validation``).
         config: ensemble and training hyper-parameters.
         n_workers: worker processes to train candidates on.  ``1`` (the
-            default) trains in-process: two candidates at a time on two
-            threads when :func:`repro.nn.plan.plan_lanes` (read at call
-            time) gives two lanes, one after another otherwise.  Any
-            value is safe — the candidates are seed-isolated, so the
-            selected ensemble is identical regardless of worker count.
+            default) trains in-process: when
+            :func:`repro.nn.plan.plan_lanes` (read at call time) gives two
+            lanes, each lane steps the next idle candidate one optimizer
+            step at a time (:func:`repro.nn.plan.run_on_lanes`), three
+            open at once; with one lane the candidates train one after
+            another.  Any value is safe — the candidates are
+            seed-isolated, so the selected ensemble is identical
+            regardless of worker or lane count.
         checkpoint_dir: when set, each candidate checkpoints its epochs to
             ``<dir>/candidate_i<ki>_k<ks>_t<trial>_s<seed>_d<digest>.npz``
             (digest = hash of the training data + architecture) and
@@ -530,10 +500,15 @@ def train_ensemble(
             # executor.map preserves submission order, so the merge below is
             # independent of which worker finishes first.
             outcomes = list(pool.map(_train_candidate_in_worker, plans))
-    elif len(plans) > 1 and nn.plan.plan_lanes() == 2:
-        outcomes = _train_on_two_lanes(plans, data)
+    elif nn.plan.plan_lanes() == 2:
+        # Largest kernels open first, so the longest candidates do not
+        # start last; the outcomes merge back in grid order.
+        order = sorted(range(len(plans)), key=lambda i: -plans[i][1])
+        chains = [_train_candidate(plans[i], data) for i in order]
+        by_index = dict(zip(order, nn.plan.run_on_lanes(chains)))
+        outcomes = [by_index[i] for i in range(len(plans))]
     else:
-        outcomes = [_train_candidate(plan, data) for plan in plans]
+        outcomes = [nn.plan.run_chain(_train_candidate(plan, data)) for plan in plans]
 
     candidates: List[TrainedCandidate] = []
     for (_, kernel_size, trial, model_seed, _), state, val_loss, wall in outcomes:

@@ -26,9 +26,11 @@ Anything the tracer does not support falls back to the untraced path and
 is counted, so regressions show up in ``engine.plan_stats()`` and the
 benchmark JSON rather than as silent slowdowns.
 
-:func:`run_on_lanes` runs tasks on two **lanes**, the calling thread and
-one helper thread per process; the CamAL ensemble replays the two halves
-of a batch that way where :func:`plan_lanes` allows two lanes.
+:func:`run_on_lanes` runs chains of steps on two **lanes**, the calling
+thread and one helper thread per process, each lane claiming one step at
+a time.  Where :func:`plan_lanes` allows two lanes, the CamAL ensemble
+replays the two halves of a batch that way (each half a one-step chain),
+and Algorithm 1 trains its candidates (one optimizer step a step).
 
 Set ``REPRO_NN_PLAN=off`` to disable tracing entirely (every call takes
 the fallback path); see ``docs/nn.md``.
@@ -41,8 +43,10 @@ import math
 import os
 import queue
 import threading
-from collections import OrderedDict
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from collections import OrderedDict, deque
+from typing import (
+    Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -60,6 +64,7 @@ __all__ = [
     "blas_threads",
     "plan_enabled",
     "plan_lanes",
+    "run_chain",
     "run_on_lanes",
     "trace",
 ]
@@ -140,81 +145,149 @@ def plan_lanes() -> int:
     return 2 if cpus >= 2 and blas_threads() == 1 else 1
 
 
-class _LaneRun:
-    """One :func:`run_on_lanes` call: tasks the two lanes claim in order."""
+#: Chains a :func:`run_on_lanes` call keeps open at once: one per lane,
+#: plus one ready for whichever lane ends its step first.
+OPEN_CHAINS = 3
+#: Longest the caller waits for the helper before a pending signal handler runs.
+WAIT_SLICE_S = 0.05
+#: A callable is a one-step chain; an iterator runs one step per ``next()``.
+Chain = Union[Callable[[], Any], Iterator[Any]]
 
-    def __init__(self, tasks: Tuple[Callable[[], None], ...]):
-        self.tasks = tasks
-        self.next = 0
+
+def _step(chain: Chain) -> Tuple[bool, Any]:
+    """Run one step of ``chain``: whether it ended, and then its value
+    (what the callable or the iterator returns)."""
+    if callable(chain):
+        return True, chain()
+    try:
+        next(chain)
+    except StopIteration as end:
+        return True, end.value
+    return False, None
+
+
+def run_chain(chain: Chain) -> Any:
+    """Run every step of ``chain`` on this thread; its value."""
+    while True:
+        ended, value = _step(chain)
+        if ended:
+            return value
+
+
+class _LaneRun:
+    """One :func:`run_on_lanes` call: chains the two lanes step in turn."""
+
+    def __init__(self, chains: Tuple[Chain, ...]):
+        self.chains = chains
+        self.values: List[Any] = [None] * len(chains)
+        self.unopened = deque(range(len(chains)))
+        self.open = 0  # opened and not ended
+        self.idle: "deque[int]" = deque()  # open, stepped least recently first
+        self.stopped = False
         self.helper_claimed = False  # the caller then waits for ``done``
         self.error: Optional[BaseException] = None
         self.done = threading.Event()  # set once the helper's share ended
         self.lock = threading.Lock()
 
-    def claim(self, helper: bool) -> Optional[Callable[[], None]]:
+    def claim(self, helper: bool, stepped: Optional[int] = None, ended: bool = False,
+              value: Any = None) -> Optional[int]:
+        """Hand back chain ``stepped`` after one step of it, then claim the
+        next chain to step: a new one while fewer than :data:`OPEN_CHAINS`
+        are open, else the idle one stepped least recently.  ``None`` once
+        the run stopped, or when every chain has ended or is claimed."""
         with self.lock:
-            if self.next == len(self.tasks):
+            if ended:
+                self.values[stepped] = value
+                self.open -= 1
+            elif stepped is not None:
+                self.idle.append(stepped)
+            if self.stopped:
                 return None
-            self.next += 1
+            if self.open < OPEN_CHAINS and self.unopened:
+                index = self.unopened.popleft()
+                self.open += 1
+            elif self.idle:
+                index = self.idle.popleft()
+            else:
+                return None
             self.helper_claimed |= helper
-            return self.tasks[self.next - 1]
+            return index
 
-    def stop(self) -> bool:
-        """Let no unclaimed task start; whether the helper claimed one."""
+    def stop(self) -> None:
+        """Let no further step start."""
         with self.lock:
-            self.next = len(self.tasks)
-            return self.helper_claimed
+            self.stopped = True
+
+    def run_lane(self, helper: bool) -> None:
+        """Step the chains this lane claims until it can claim none."""
+        index = self.claim(helper)
+        while index is not None:
+            ended, value = _step(self.chains[index])
+            index = self.claim(helper, index, ended, value)
 
     def run_on_helper(self) -> None:
         try:
-            for task in iter(lambda: self.claim(True), None):
-                task()
+            self.run_lane(helper=True)
         except BaseException as exc:  # re-raised on the calling thread
             self.error = exc
             self.stop()
         finally:
             self.done.set()
 
+    def close(self) -> None:
+        """Close every iterator chain: those a failure or an interrupt left
+        unfinished."""
+        for chain in self.chains:
+            if not callable(chain) and hasattr(chain, "close"):
+                chain.close()
+
 
 @hot_path
-def run_on_lanes(tasks: Sequence[Callable[[], None]]) -> None:
-    """Run ``tasks`` on this thread and the process's lane helper thread.
+def run_on_lanes(chains: Sequence[Chain]) -> List[Any]:
+    """Run ``chains`` on this thread and the process's lane helper thread;
+    their values, in list order.
 
-    A lone task runs here.  Each lane claims the next task in list order,
-    so while the helper is busy with another call's tasks this thread runs
-    every task itself.
-    After a failure no unclaimed task starts; the failure is raised here
-    once both lanes have ended (this thread's own first), and the helper
-    survives it.  An interrupt while this thread waits for the helper's
-    task is raised after that task has ended.  Tasks must touch disjoint
+    A lone chain runs here.  Each lane claims one step at a time (see
+    :meth:`_LaneRun.claim`), so both lanes stay busy while two chains are
+    left, and a chain may resume on the other lane: no thread-local
+    context may span its steps.  While the helper is busy with another
+    call's chains, this thread steps every chain itself.  After a failure
+    or an interrupt no further step starts; it is raised here once the
+    other lane's step has ended (this thread's own first) and the chains
+    are closed, and the helper survives it.  Chains must touch disjoint
     memory and never call :func:`run_on_lanes`.
     """
-    if len(tasks) == 1:
-        return tasks[0]()
-    run = _LaneRun(tuple(tasks))
-    _lane_helper().submit(run)
+    if len(chains) == 1:
+        return [run_chain(chains[0])]
+    run = _LaneRun(tuple(chains))
+    failure: Optional[BaseException] = None
     try:
-        for task in iter(lambda: run.claim(False), None):
-            task()
-    finally:
-        # The wait is inline (no call to enter first) and asked again
-        # after each interrupt, so it cannot end early.
-        interrupt = None
-        waiting = run.stop()
-        while waiting:
-            try:
-                run.done.wait()
-                waiting = False
-            except BaseException as exc:
-                interrupt = exc
-        if interrupt is not None:
-            raise interrupt
-    if run.error is not None:
-        raise run.error
+        _lane_helper().submit(run)
+        run.run_lane(helper=False)
+    except BaseException as exc:  # raised below, once the helper's step ended
+        failure = exc
+    # The wait is inline (no call to enter first) and asked again after
+    # each interrupt, so it cannot end early.  It runs in slices: a signal
+    # that lands just before a wait blocks is handled only when it ends.
+    while True:
+        try:
+            if failure is not None:
+                run.stop()
+            while run.helper_claimed and not run.done.wait(WAIT_SLICE_S):
+                pass
+            break
+        except BaseException as exc:
+            if failure is None:
+                failure = exc
+    run.close()
+    failure = failure or run.error
+    if failure is not None:
+        raise failure
+    return run.values
 
 
 class _LaneHelper:
-    """The daemon thread that runs the helper's share of every
+    """The daemon thread that steps the helper's share of every
     :func:`run_on_lanes` call."""
 
     def __init__(self) -> None:

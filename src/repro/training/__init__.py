@@ -6,13 +6,16 @@ Grown out of the original single-file module into a package:
   schedule, checkpoint knobs) and :class:`TrainResult`;
 * :mod:`repro.training.loops` — the three supervision loops
   (:func:`train_classifier`, :func:`train_seq2seq`,
-  :func:`train_weak_mil`) on one resumable epoch engine;
+  :func:`train_weak_mil`) on one resumable epoch engine, and
+  :func:`classifier_steps`, the classifier loop one optimizer step per
+  ``next()``;
 * :mod:`repro.training.checkpoint` — bit-for-bit checkpoint/resume
   (model + optimizer + scheduler + RNG state in one ``.npz``).
 
 Ensemble-level orchestration — including ``train_ensemble(n_workers=...)``,
-which fans Algorithm 1's independent candidates over worker processes —
-lives in :mod:`repro.core.ensemble`, which builds on these loops.
+which steps Algorithm 1's independent candidates on two lanes or fans
+them over worker processes — lives in :mod:`repro.core.ensemble`, which
+builds on these loops.
 
 The public API of the old ``repro.training`` module is re-exported here
 unchanged; ``from repro.training import train_classifier`` keeps working.
@@ -32,6 +35,7 @@ from .checkpoint import (
 )
 from .config import OPTIMIZERS, SCHEDULERS, TrainConfig, TrainResult
 from .loops import (
+    classifier_steps,
     evaluate_classifier_loss,
     evaluate_seq2seq_loss,
     predict_proba,
@@ -48,6 +52,7 @@ __all__ = [
     "OPTIMIZERS",
     "SCHEDULERS",
     "train_classifier",
+    "classifier_steps",
     "train_seq2seq",
     "train_weak_mil",
     "evaluate_classifier_loss",

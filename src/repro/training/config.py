@@ -64,6 +64,7 @@ class TrainResult:
     val_losses: List[float] = field(default_factory=list)
     best_val_loss: float = float("inf")
     best_epoch: int = -1
+    #: Seconds the run's own steps took; time parked between steps is left out.
     wall_time_seconds: float = 0.0
     epoch_times: List[float] = field(default_factory=list)
     resumed_from_epoch: int = 0  # 0 when the run started from scratch

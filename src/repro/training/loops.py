@@ -8,18 +8,20 @@
   the pooled sequence logit only.
 
 All loops share :func:`_run_epochs`: Adam/AdamW/SGD with optional LR
-schedule, gradient clipping, early stopping on a validation loss, and
-epoch-boundary checkpointing.  Resuming from a checkpoint reproduces the
+schedule, gradient clipping, early stopping on the validation mean of the
+loop's batch loss, and epoch-boundary checkpointing.  Resuming from a checkpoint reproduces the
 uninterrupted run's loss trajectory and final weights bit-for-bit — the
 optimizer moments, scheduler counters and every RNG stream are restored,
 so the remaining epochs replay exactly (see
-:mod:`repro.training.checkpoint`).
+:mod:`repro.training.checkpoint`).  :func:`classifier_steps` runs a
+classifier one optimizer step per ``next()``, so Algorithm 1's candidate
+lanes can step several candidates in turn.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Generator, Optional
 
 import numpy as np
 
@@ -110,15 +112,40 @@ def _resume_fingerprint(config: TrainConfig) -> Dict[str, object]:
     return fingerprint
 
 
+#: A loop's batch loss: ``(inputs, targets) -> scalar Tensor``.
+BatchLoss = Callable[[np.ndarray, np.ndarray], Tensor]
+
+
+def _mean_loss(loss_on: BatchLoss, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
+    """Mean of ``loss_on`` over ``x`` in batches, without grad (inf when empty)."""
+    if len(x) == 0:
+        return float("inf")
+    total, count = 0.0, 0
+    with nn.no_grad():
+        for start in range(0, len(x), batch_size):
+            xb = x[start : start + batch_size]
+            total += loss_on(xb, y[start : start + batch_size]).item() * len(xb)
+            count += len(xb)
+    return total / count
+
+
 def _run_epochs(
     model: nn.Module,
-    loss_on_batch: Callable[[np.ndarray], Tensor],
-    val_loss: Callable[[], float],
-    n_train: int,
+    loss_on: BatchLoss,
+    x_train: np.ndarray,
+    y_train: np.ndarray,
+    x_val: np.ndarray,
+    y_val: np.ndarray,
     config: TrainConfig,
-) -> TrainResult:
+) -> Generator[None, None, TrainResult]:
     """Generic epoch loop with early stopping; returns the loss history.
 
+    ``loss_on`` gives the training batches' loss and, averaged over the
+    validation set, the loss early stopping watches.
+    A generator: it yields after every optimizer step, so the run can be
+    parked between steps and resumed on another thread.  No thread-local
+    context (``no_grad``) spans a yield.  ``wall_time_seconds`` and
+    ``epoch_times`` count the time the steps ran, not the time parked.
     When ``config.checkpoint_path`` is set, a checkpoint is written at
     every ``checkpoint_every``-th epoch boundary (and on early stop and
     completion); with ``config.resume`` an existing checkpoint restarts
@@ -186,7 +213,11 @@ def _run_epochs(
         stopped_early = snapshot.stopped_early
         result.resumed_from_epoch = start_epoch
 
-    start_time = time.perf_counter()
+    ran, resumed = 0.0, time.perf_counter()
+
+    def busy() -> float:
+        """Seconds the steps have run so far."""
+        return ran + time.perf_counter() - resumed
 
     def _save(epochs_completed: int) -> None:
         save_checkpoint(
@@ -211,11 +242,11 @@ def _run_epochs(
 
     epochs = range(start_epoch, 0 if stopped_early else config.epochs)
     for epoch in epochs:
-        epoch_start = time.perf_counter()
+        epoch_start = busy()
         model.train()
         total, batches = 0.0, 0
-        for idx in _iterate_batches(n_train, config.batch_size, rng):
-            loss = loss_on_batch(idx)
+        for idx in _iterate_batches(len(x_train), config.batch_size, rng):
+            loss = loss_on(x_train[idx], y_train[idx])
             optimizer.zero_grad()
             loss.backward()
             if config.clip_grad > 0:
@@ -223,12 +254,15 @@ def _run_epochs(
             optimizer.step()
             total += loss.item()
             batches += 1
+            ran = busy()
+            yield
+            resumed = time.perf_counter()
         result.train_losses.append(total / max(batches, 1))
 
         model.eval()
-        current_val = val_loss()
+        current_val = _mean_loss(loss_on, x_val, y_val, config.batch_size)
         result.val_losses.append(current_val)
-        result.epoch_times.append(time.perf_counter() - epoch_start)
+        result.epoch_times.append(busy() - epoch_start)
         if config.verbose:
             print(
                 f"  epoch {epoch + 1}/{config.epochs} "
@@ -257,7 +291,7 @@ def _run_epochs(
             break
 
     _restore_best(model, best_state)
-    result.wall_time_seconds = time.perf_counter() - start_time
+    result.wall_time_seconds = busy()
     return result
 
 
@@ -281,19 +315,30 @@ def train_classifier(
     last class raises at the first batch that holds it (see
     :func:`repro.nn.functional.class_targets`).
     """
+    return nn.plan.run_chain(classifier_steps(model, x_train, y_train, x_val, y_val, config))
+
+
+def classifier_steps(
+    model: nn.Module,
+    x_train: np.ndarray,
+    y_train: np.ndarray,
+    x_val: np.ndarray,
+    y_val: np.ndarray,
+    config: TrainConfig,
+) -> Generator[None, None, TrainResult]:
+    """:func:`train_classifier` one optimizer step per ``next()``; the
+    generator's return value is the :class:`TrainResult`.  Labels are
+    checked at once, before the first step."""
     x_train = np.asarray(x_train, dtype=np.float32)
-    y_train = F.class_targets(y_train, len(x_train))
     x_val = np.asarray(x_val, dtype=np.float32)
-    y_val = F.class_targets(y_val, len(x_val))
+    return _run_epochs(
+        model, _classifier_loss(model), x_train, F.class_targets(y_train, len(x_train)),
+        x_val, F.class_targets(y_val, len(x_val)), config,
+    )
 
-    def loss_on_batch(idx: np.ndarray) -> Tensor:
-        batch = Tensor(x_train[idx][:, None, :])
-        return F.cross_entropy(model(batch), y_train[idx])
 
-    def val_loss() -> float:
-        return evaluate_classifier_loss(model, x_val, y_val, config.batch_size)
-
-    return _run_epochs(model, loss_on_batch, val_loss, len(x_train), config)
+def _classifier_loss(model: nn.Module) -> BatchLoss:
+    return lambda x, y: F.cross_entropy(model(Tensor(x[:, None, :])), y)
 
 
 def evaluate_classifier_loss(
@@ -301,18 +346,7 @@ def evaluate_classifier_loss(
 ) -> float:
     """Mean cross-entropy of a classifier over a dataset (no grad)."""
     x = np.asarray(x, dtype=np.float32)
-    y = F.class_targets(y, len(x))
-    if len(x) == 0:
-        return float("inf")
-    total, count = 0.0, 0
-    with nn.no_grad():
-        for start in range(0, len(x), batch_size):
-            xb = x[start : start + batch_size]
-            yb = y[start : start + batch_size]
-            loss = F.cross_entropy(model(Tensor(xb[:, None, :])), yb)
-            total += loss.item() * len(xb)
-            count += len(xb)
-    return total / count
+    return _mean_loss(_classifier_loss(model), x, F.class_targets(y, len(x)), batch_size)
 
 
 def predict_proba(model: nn.Module, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
@@ -344,23 +378,16 @@ def train_seq2seq(
     ``model`` maps ``(N, 1, L)`` to frame logits ``(N, L)``; ``s_*`` are
     per-timestamp binary status labels (the paper's strong labels).
     """
-    x_train = np.asarray(x_train, dtype=np.float32)
-    s_train = np.asarray(s_train, dtype=np.float32)
-    x_val = np.asarray(x_val, dtype=np.float32)
-    s_val = np.asarray(s_val, dtype=np.float32)
+    arrays = [np.asarray(a, dtype=np.float32) for a in (x_train, s_train, x_val, s_val)]
+    return nn.plan.run_chain(
+        _run_epochs(model, _seq2seq_loss(model, config.pos_weight), *arrays, config)
+    )
 
-    def loss_on_batch(idx: np.ndarray) -> Tensor:
-        logits = model(Tensor(x_train[idx][:, None, :]))
-        return F.binary_cross_entropy_with_logits(
-            logits, s_train[idx], pos_weight=config.pos_weight
-        )
 
-    def val_loss() -> float:
-        return evaluate_seq2seq_loss(
-            model, x_val, s_val, config.batch_size, pos_weight=config.pos_weight
-        )
-
-    return _run_epochs(model, loss_on_batch, val_loss, len(x_train), config)
+def _seq2seq_loss(model: nn.Module, pos_weight: Optional[float]) -> BatchLoss:
+    return lambda x, s: F.binary_cross_entropy_with_logits(
+        model(Tensor(x[:, None, :])), s, pos_weight=pos_weight
+    )
 
 
 def evaluate_seq2seq_loss(
@@ -370,21 +397,9 @@ def evaluate_seq2seq_loss(
     batch_size: int = 256,
     pos_weight: Optional[float] = None,
 ) -> float:
-    x = np.asarray(x, dtype=np.float32)
-    s = np.asarray(s, dtype=np.float32)
-    if len(x) == 0:
-        return float("inf")
-    total, count = 0.0, 0
-    with nn.no_grad():
-        for start in range(0, len(x), batch_size):
-            xb = x[start : start + batch_size]
-            sb = s[start : start + batch_size]
-            loss = F.binary_cross_entropy_with_logits(
-                model(Tensor(xb[:, None, :])), sb, pos_weight=pos_weight
-            )
-            total += loss.item() * len(xb)
-            count += len(xb)
-    return total / count
+    """Mean frame-level BCE of a seq2seq model over a dataset (no grad)."""
+    x, s = (np.asarray(a, dtype=np.float32) for a in (x, s))
+    return _mean_loss(_seq2seq_loss(model, pos_weight), x, s, batch_size)
 
 
 def predict_proba_seq2seq(
@@ -426,31 +441,11 @@ def train_weak_mil(
     ``(N,)``; frame-level predictions remain available through the model's
     ``forward`` for localization at test time.
     """
-    x_train = np.asarray(x_train, dtype=np.float32)
-    y_train = np.asarray(y_train, dtype=np.float32)
-    x_val = np.asarray(x_val, dtype=np.float32)
-    y_val = np.asarray(y_val, dtype=np.float32)
+    arrays = [np.asarray(a, dtype=np.float32) for a in (x_train, y_train, x_val, y_val)]
 
-    def loss_on_batch(idx: np.ndarray) -> Tensor:
-        seq_logits = model.forward_weak(Tensor(x_train[idx][:, None, :]))
+    def loss_on(x: np.ndarray, y: np.ndarray) -> Tensor:
         return F.binary_cross_entropy_with_logits(
-            seq_logits, y_train[idx], pos_weight=config.pos_weight
+            model.forward_weak(Tensor(x[:, None, :])), y, pos_weight=config.pos_weight
         )
 
-    def val_loss() -> float:
-        if len(x_val) == 0:
-            return float("inf")
-        total, count = 0.0, 0
-        with nn.no_grad():
-            for start in range(0, len(x_val), config.batch_size):
-                xb = x_val[start : start + config.batch_size]
-                yb = y_val[start : start + config.batch_size]
-                loss = F.binary_cross_entropy_with_logits(
-                    model.forward_weak(Tensor(xb[:, None, :])), yb,
-                    pos_weight=config.pos_weight,
-                )
-                total += loss.item() * len(xb)
-                count += len(xb)
-        return total / count
-
-    return _run_epochs(model, loss_on_batch, val_loss, len(x_train), config)
+    return nn.plan.run_chain(_run_epochs(model, loss_on, *arrays, config))

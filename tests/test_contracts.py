@@ -19,7 +19,8 @@ every draw.  Example counts stay small so tier-1 stays fast.
   halves, replayed at once on two lanes, give the one-lane plan's and the
   member loop's bits; a busy helper leaves both halves to the caller, a
   failure in the helper's half is raised on the caller, and the caller
-  waits for the helper through an interrupt.  The lane count is forced
+  waits for the helper through an interrupt.  Chains of steps come back
+  in list order, stepped on both lanes.  The lane count is forced
   through ``repro.nn.plan.plan_lanes``, so these run whatever the box's
   BLAS threads and CPUs.
 * **Planned arenas**: no two buffers live at once share a byte, the
@@ -29,10 +30,12 @@ every draw.  Example counts stay small so tier-1 stays fast.
 * **Algorithm 1 on one lane == on two lanes == on two worker
   processes**: the candidates' weights and validation losses and the
   selected members are the same bits however the candidates are spread,
-  with or without per-candidate checkpoints.  A candidate that fails on
-  either lane is raised on the caller once the other lane's candidate
-  has ended, the candidates not yet started never run, and no lane
-  thread outlives the call; an interrupt is handled the same way.
+  with or without per-candidate checkpoints and early stopping, and
+  training traces and replays no plan.  On two lanes at most three
+  candidates are open.  A step that fails on either lane is raised on
+  the caller once the other lane's step has ended, no further step
+  starts and every unfinished candidate is closed; an interrupt is
+  handled the same way.
 * **score_store == run**: a stored household scored in chunks of any
   size, at any stride, with the power gate off or on, gets the soft
   status, status and detection count of ``run`` on its whole series, bit
@@ -41,6 +44,7 @@ every draw.  Example counts stay small so tier-1 stays fast.
 
 import contextlib
 import functools
+import inspect
 import math
 import os
 import signal
@@ -49,6 +53,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -298,6 +303,16 @@ def _lanes(n):
     return mock.patch.object(nn.plan, "plan_lanes", lambda: n)
 
 
+def _wait(event, seconds=10):
+    """``event.wait(seconds)`` in short slices, so that a signal handler
+    runs within one even if its signal came just before a wait blocked."""
+    deadline = time.monotonic() + seconds
+    while not event.wait(0.01):
+        if time.monotonic() > deadline:
+            return False
+    return True
+
+
 @st.composite
 def lane_cases(draw):
     """An ensemble shape and a batch size from 1 up to twice the first
@@ -436,41 +451,79 @@ class TestLanes:
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
     def test_an_interrupted_join_still_waits_for_lane_one(self):
         """A signal handler raising (as Ctrl-C raises KeyboardInterrupt)
-        while the calling thread waits for the task the helper claimed:
-        ``run_on_lanes`` raises it only once that task has ended, and later
-        calls still wait for theirs."""
+        once the calling thread has run its task: ``run_on_lanes`` raises it
+        only once the helper's task has ended, and later calls still wait
+        for theirs."""
 
         class Interrupt(Exception):
             pass
 
+        interrupted = threading.Event()
+
         def on_signal(signum, frame):
+            interrupted.set()
             raise Interrupt
 
         main = threading.main_thread().ident
         helper = nn.plan._lane_helper().thread
         ended = []
 
-        def task(interrupt, helper_started):
+        def task(interrupt, helper_started, caller_done):
             if threading.current_thread() is not helper:
-                helper_started.wait(10)  # the helper claims the other task
+                assert helper_started.wait(10)  # the helper claims the other task
+                caller_done.set()
                 return
             helper_started.set()
-            time.sleep(0.05)  # the calling thread is waiting by now
+            assert caller_done.wait(10)
             if interrupt:
                 signal.pthread_kill(main, signal.SIGUSR1)
-            time.sleep(0.05)
+                assert interrupted.wait(10)  # the calling thread has it, waiting
             ended.append(interrupt)
+
+        def tasks(interrupt):
+            return [functools.partial(task, interrupt, threading.Event(), threading.Event())] * 2
 
         previous = signal.signal(signal.SIGUSR1, on_signal)
         try:
             with pytest.raises(Interrupt):
-                nn.plan.run_on_lanes([functools.partial(task, True, threading.Event())] * 2)
+                nn.plan.run_on_lanes(tasks(True))
             assert ended == [True]
-            nn.plan.run_on_lanes([functools.partial(task, False, threading.Event())] * 2)
+            nn.plan.run_on_lanes(tasks(False))
             assert ended == [True, False]
         finally:
             signal.signal(signal.SIGUSR1, previous)
         assert nn.plan._lane_helper().thread is helper and helper.is_alive()
+
+    def test_lanes_step_chains_in_turn(self):
+        """Chains of steps: both lanes claim one step at a time, no more than
+        ``OPEN_CHAINS`` chains are open at once, and the values come back in
+        list order."""
+        helper = nn.plan._lane_helper().thread
+        helper_stepped = threading.Event()
+        stepped, open_now, most_open = [], set(), []
+
+        def chain(i, steps):
+            open_now.add(i)
+            most_open.append(len(open_now))
+            for step in range(steps):
+                on_helper = threading.current_thread() is helper
+                stepped.append((i, step, on_helper))
+                if on_helper:
+                    helper_stepped.set()
+                else:
+                    assert helper_stepped.wait(10)  # both lanes take part
+                yield
+            open_now.discard(i)
+            return 10 * i
+
+        lengths = (3, 1, 4, 1, 5, 2)
+        values = nn.plan.run_on_lanes([chain(i, n) for i, n in enumerate(lengths)])
+        assert values == [10 * i for i in range(len(lengths))]
+        assert sorted((i, step) for i, step, _ in stepped) == [
+            (i, step) for i, n in enumerate(lengths) for step in range(n)
+        ]
+        assert {on_helper for *_, on_helper in stepped} == {False, True}
+        assert max(most_open) <= nn.plan.OPEN_CHAINS
 
     def test_a_failure_in_lane_one_is_raised_on_the_caller(self):
         """A failure in the half the helper replays is raised on the calling
@@ -593,12 +646,17 @@ class TestPlannedArenas:
 
 @st.composite
 def algorithm1_cases(draw):
-    """An ensemble seed and a candidate grid: 1-4 kernels, repeats allowed."""
+    """An ensemble seed and a grid of 1-5 candidates (kernels may repeat),
+    trained up to 3 epochs with early stopping drawn on or off, so
+    candidates may end at different steps."""
+    n_trials = draw(st.integers(1, 2))
     return dict(
         seed=draw(st.integers(0, 2**16)),
-        kernels=tuple(draw(st.lists(st.sampled_from((3, 5, 7)), min_size=1, max_size=4))),
-        n_trials=draw(st.integers(1, 2)),
-        epochs=draw(st.integers(1, 2)),
+        kernels=tuple(draw(st.lists(st.sampled_from((3, 5, 7)), min_size=1,
+                                    max_size=5 // n_trials))),
+        n_trials=n_trials,
+        epochs=draw(st.integers(1, 3)),
+        patience=draw(st.integers(0, 1)),
         checkpoint=draw(st.booleans()),
     )
 
@@ -615,7 +673,7 @@ def _algorithm1(case, n_windows=24, **kwargs):
         n_trials=case["n_trials"],
         n_models=2,
         filters=(4, 8, 8),
-        train=TrainConfig(epochs=case["epochs"], batch_size=8, patience=0),
+        train=TrainConfig(epochs=case["epochs"], batch_size=8, patience=case["patience"]),
         seed=case["seed"],
     )
     with tempfile.TemporaryDirectory() as directory:
@@ -637,26 +695,97 @@ def _assert_same_run(got, want):
         assert state_dicts_equal(a.state_dict(), b.state_dict())
 
 
-def _lane_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("repro-candidate")]
+def _no_plans():
+    """Inside the block, tracing or replaying any plan raises."""
+    stack = contextlib.ExitStack()
+    for owner, name in ((nn.plan.PlanBuilder, "__init__"), (nn.plan.ExecutionPlan, "run")):
+        stack.enter_context(mock.patch.object(
+            owner, name, side_effect=AssertionError(f"{owner.__name__}.{name} during training")
+        ))
+    return stack
 
 
-#: A grid of four candidates: lanes start kernels 9 and 7, then 5 and 3.
-FOUR_CANDIDATES = dict(seed=1, kernels=(3, 5, 7, 9), n_trials=1, epochs=1, checkpoint=False)
+#: A grid of four candidates: they open kernels 9, 7 and 5 first, then 3.
+FOUR_CANDIDATES = dict(
+    seed=1, kernels=(3, 5, 7, 9), n_trials=1, epochs=1, patience=0, checkpoint=False
+)
+
+
+class _LoggedSteps:
+    """Stands in for ``_train_candidate``: each candidate's real chain,
+    stepped through ``gate(lane, first)`` before every step, with a log of
+    the steps that started and ended on each lane (``"caller"`` or
+    ``"helper"``).  ``stopped`` is set once the lane runtime stops a run
+    after a failure or an interrupt."""
+
+    def __init__(self, gate):
+        self.gate = gate
+        self.train = algorithm1._train_candidate
+        self.helper = nn.plan._lane_helper().thread
+        self.chains, self.started, self.ended = [], [], []
+        self.stopped = threading.Event()
+
+    def __call__(self, plan, data):
+        chain = self._steps(plan, data)
+        self.chains.append(chain)
+        return chain
+
+    def _steps(self, plan, data):
+        steps = self.train(plan, data)
+        while True:
+            lane = "helper" if threading.current_thread() is self.helper else "caller"
+            self.started.append((plan[1], lane))
+            self.gate(lane, [l for _, l in self.started].count(lane) == 1)
+            try:
+                next(steps)
+            except StopIteration as end:
+                return end.value
+            self.ended.append((plan[1], lane))
+            yield
+
+    @contextlib.contextmanager
+    def patched(self):
+        stop = nn.plan._LaneRun.stop
+
+        def stop_and_tell(run):
+            stop(run)
+            self.stopped.set()
+
+        with _lanes(2), mock.patch.object(algorithm1, "_train_candidate", self), \
+                mock.patch.object(nn.plan._LaneRun, "stop", stop_and_tell):
+            yield
+
+    def assert_stopped_after_one_step_a_lane(self, running_lane):
+        """No step started after the first on each lane; the other lane's
+        step ended before the raise; every unfinished chain is closed."""
+        assert sorted(lane for _, lane in self.started) == ["caller", "helper"]
+        assert [lane for _, lane in self.ended] == [running_lane]
+        assert len(self.chains) == 4
+        assert all(inspect.getgeneratorstate(c) == inspect.GEN_CLOSED for c in self.chains)
+        assert self.helper is nn.plan._lane_helper().thread and self.helper.is_alive()
 
 
 class TestAlgorithm1Lanes:
-    """Two candidates at a time change nothing but the time."""
+    """Candidates stepped in turn on two lanes change nothing but the time."""
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(algorithm1_cases())
+    # Early stopping ends these grids' candidates after 2, 2 and 3 epochs,
+    # and after 2, 3, 2, 3 and 3 epochs (with checkpoints).
+    @example(dict(seed=11, kernels=(3, 5, 7), n_trials=1, epochs=3, patience=1,
+                  checkpoint=False))
+    @example(dict(seed=5, kernels=(7, 3, 5, 7, 3), n_trials=1, epochs=3, patience=1,
+                  checkpoint=True))
     def test_two_lanes_train_the_one_lane_candidates(self, case):
+        """Same bits, no plan traced or replayed while training, and no
+        thread started per call."""
         with _lanes(1):
             one = _algorithm1(case)
-        with _lanes(2):
+        threads = set(threading.enumerate()) | {nn.plan._lane_helper().thread}
+        with _lanes(2), _no_plans():
             two = _algorithm1(case)
         _assert_same_run(two, one)
-        assert not _lane_threads()
+        assert set(threading.enumerate()) <= threads
 
     @settings(max_examples=2, deadline=None, derandomize=True)
     @given(algorithm1_cases())
@@ -665,67 +794,89 @@ class TestAlgorithm1Lanes:
             one = _algorithm1(case, n_windows=16)
         _assert_same_run(_algorithm1(case, n_windows=16, n_workers=2), one)
 
-    @pytest.mark.parametrize("failing_kernel", [9, 7], ids=["lane0", "lane1"])
-    def test_a_failed_candidate_is_raised_after_the_other_lane_ends(self, failing_kernel):
-        train = algorithm1._train_candidate
-        both_started = threading.Barrier(2)
-        failed = threading.Event()
-        started, ended = [], []
+    def test_two_lanes_hold_at_most_three_candidates(self):
+        """Six candidates on two lanes: three are open at once (one per lane
+        plus one), so at most three candidates' models are alive."""
+        alive, counts = weakref.WeakSet(), []
+        build = algorithm1.ResNetTSC
 
-        def candidate(plan, data):
-            started.append(plan[1])
-            both_started.wait(10)
-            if plan[1] == failing_kernel:
-                failed.set()
+        def counted(*args, **kwargs):
+            model = build(*args, **kwargs)
+            alive.add(model)
+            counts.append(len(alive))
+            return model
+
+        case = dict(FOUR_CANDIDATES, kernels=(3, 5, 7), n_trials=2, epochs=2)
+        with _lanes(2), mock.patch.object(algorithm1, "ResNetTSC", counted):
+            _, candidates = _algorithm1(case)
+        # The first six models are the candidates' own; the rest are built
+        # from their state dicts once training is over.
+        assert len(candidates) == 6 and max(counts[:6]) == nn.plan.OPEN_CHAINS == 3
+
+    def test_candidate_seconds_count_only_their_own_steps(self):
+        """At most two steps run at once, so seconds that leave out the time
+        a candidate sat parked sum to at most twice the run's."""
+        with _lanes(2):
+            start = time.perf_counter()
+            _, candidates = _algorithm1(dict(FOUR_CANDIDATES, epochs=3))
+            wall = time.perf_counter() - start
+        seconds = [c.wall_time_seconds for c in candidates]
+        assert min(seconds) > 0 and sum(seconds) <= 2 * wall
+
+    @pytest.mark.parametrize("failing_lane", ["caller", "helper"], ids=["lane0", "lane1"])
+    def test_a_failed_candidate_is_raised_after_the_other_lane_ends(self, failing_lane):
+        """A step fails on one lane while the other lane runs a step."""
+        other_in_step = threading.Event()
+
+        def gate(lane, first):
+            if not first:
+                return
+            if lane == failing_lane:
+                assert other_in_step.wait(10)
                 raise RuntimeError("candidate failed")
-            assert failed.wait(10)
-            time.sleep(0.05)  # the caller has seen the failure by now
-            outcome = train(plan, data)
-            ended.append(plan[1])
-            return outcome
+            other_in_step.set()
+            assert steps.stopped.wait(10)  # the failure is seen; this step ends after
 
-        with _lanes(2), mock.patch.object(algorithm1, "_train_candidate", candidate):
-            with pytest.raises(RuntimeError, match="candidate failed"):
-                _algorithm1(FOUR_CANDIDATES)
-        assert sorted(started) == [7, 9]  # kernels 5 and 3 never started
-        assert ended == [16 - failing_kernel]
-        assert not _lane_threads()
+        steps = _LoggedSteps(gate)
+        with steps.patched(), pytest.raises(RuntimeError, match="candidate failed"):
+            _algorithm1(FOUR_CANDIDATES)
+        steps.assert_stopped_after_one_step_a_lane(
+            "helper" if failing_lane == "caller" else "caller"
+        )
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
     def test_an_interrupt_is_raised_after_the_running_candidates_end(self):
-        """A signal handler raising (as Ctrl-C raises KeyboardInterrupt)
-        while the caller waits for its lanes."""
+        """A signal handler raising (as Ctrl-C raises KeyboardInterrupt) in
+        the calling thread's step while the helper runs a step."""
 
         class Interrupt(Exception):
             pass
 
+        interrupted, caller_in_step = threading.Event(), threading.Event()
+
         def on_signal(signum, frame):
+            interrupted.set()
             raise Interrupt
 
-        train = algorithm1._train_candidate
-        main = threading.main_thread().ident
-        both_started = threading.Barrier(2)
-        started, ended = [], []
+        def gate(lane, first):
+            if not first:
+                return
+            if lane == "caller":
+                caller_in_step.set()
+                _wait(steps.stopped)  # the interrupt lands here
+                return
+            assert caller_in_step.wait(10)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGUSR1)
+            assert interrupted.wait(10) and steps.stopped.wait(10)
 
-        def candidate(plan, data):
-            started.append(plan[1])
-            both_started.wait(10)
-            if plan[1] == 9:
-                signal.pthread_kill(main, signal.SIGUSR1)
-            time.sleep(0.05)
-            outcome = train(plan, data)
-            ended.append(plan[1])
-            return outcome
-
+        steps = _LoggedSteps(gate)
         previous = signal.signal(signal.SIGUSR1, on_signal)
         try:
-            with _lanes(2), mock.patch.object(algorithm1, "_train_candidate", candidate):
-                with pytest.raises(Interrupt):
-                    _algorithm1(FOUR_CANDIDATES)
+            with steps.patched(), pytest.raises(Interrupt):
+                _algorithm1(FOUR_CANDIDATES)
         finally:
             signal.signal(signal.SIGUSR1, previous)
-        assert sorted(started) == sorted(ended) == [7, 9]
-        assert not _lane_threads()
+        steps.assert_stopped_after_one_step_a_lane("helper")
 
 
 STORE_WINDOW = 32

@@ -1,6 +1,7 @@
 """Tests for the training subsystem: loops, checkpoint/resume, parallel."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from repro.core import (
 from repro.training import (
     TrainConfig,
     checkpoint_exists,
+    classifier_steps,
     evaluate_classifier_loss,
     evaluate_seq2seq_loss,
     load_checkpoint,
@@ -68,6 +70,34 @@ class TestClassifierLoop:
         result = train_classifier(model, x, y, x, y, TrainConfig(epochs=3, patience=0))
         assert len(result.train_losses) == len(result.val_losses) == len(result.epoch_times)
         assert result.wall_time_seconds > 0
+
+    def test_steps_count_their_own_time_not_the_time_parked(self):
+        """``classifier_steps`` yields after every optimizer step and gives
+        ``train_classifier``'s bits; its seconds leave out the time parked
+        between steps."""
+        x, _, y = _spike_windows(n=30)
+        cfg = TrainConfig(epochs=2, batch_size=8, patience=0, seed=0)
+        whole = ResNetTSC(ResNetConfig(kernel_size=3, filters=(4, 4, 4), seed=2))
+        want = train_classifier(whole, x, y, x, y, cfg)
+        model = ResNetTSC(ResNetConfig(kernel_size=3, filters=(4, 4, 4), seed=2))
+        steps = classifier_steps(model, x, y, x, y, cfg)
+        n_steps, parked, start = 0, 0.0, time.perf_counter()
+        while True:
+            try:
+                next(steps)
+            except StopIteration as end:
+                got = end.value
+                break
+            n_steps += 1
+            park = time.perf_counter()
+            time.sleep(0.01)
+            parked += time.perf_counter() - park
+        elapsed = time.perf_counter() - start
+        assert n_steps == 2 * 4  # 30 windows in batches of 8, two epochs
+        assert got.train_losses == want.train_losses and got.val_losses == want.val_losses
+        assert state_dicts_equal(model.state_dict(), whole.state_dict())
+        assert min(got.epoch_times) > 0
+        assert sum(got.epoch_times) <= got.wall_time_seconds <= elapsed - parked
 
     @pytest.mark.parametrize(
         "bad",
